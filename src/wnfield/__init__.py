@@ -17,7 +17,6 @@ from .chaos import (
     malliavin_derivative,
     parse_polynomial,
     random_polynomial,
-    sobolev_inner,
 )
 from .errors import (
     DimensionMismatchError,
@@ -30,18 +29,15 @@ from .errors import (
 )
 from .field import (
     GaussianField,
-    NoiseDraw,
     SampleBatch,
     build_field,
     covariance_standard_error,
-    draw_noise,
     empirical_covariance,
     mollify_factor,
     noise_matrix,
     sample,
     tangent_gram,
     truncation_error,
-    white_noise_functional,
 )
 from .integrals import (
     RandomIntegrand,
@@ -67,7 +63,6 @@ from .spectral import (
     WhiteNoiseKernel,
     decompose,
     factorize,
-    hs_norm,
     kernel_section,
     pointwise_kernel_matrix,
     reproduce_covariance,

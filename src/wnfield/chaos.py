@@ -27,7 +27,6 @@ __all__ = [
     "malliavin_derivative",
     "directional_derivative",
     "inner_hmu",
-    "sobolev_inner",
     "random_polynomial",
     "parse_polynomial",
     "format_polynomial",
@@ -258,19 +257,6 @@ def inner_hmu(u: HmuValuedPolynomial, v: HmuValuedPolynomial) -> ChaosPolynomial
     for a, b in zip(u.components, v.components):
         out = out + a * b
     return out
-
-
-def sobolev_inner(F: ChaosPolynomial, G: ChaosPolynomial) -> float:
-    """Graph inner product of the derivative: E[FG] + E[<DF, DG>].
-
-    The norm it induces controls the closure of the derivative operator;
-    derived quantity only, nothing downstream depends on it.
-    """
-    width = max(F.num_vars, G.num_vars)
-    F = ChaosPolynomial(F.terms, width)
-    G = ChaosPolynomial(G.terms, width)
-    gradient_part = inner_hmu(malliavin_derivative(F), malliavin_derivative(G))
-    return expectation(F * G) + expectation(gradient_part)
 
 
 def random_polynomial(

@@ -29,13 +29,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import chaos, field, integrals, kernels, spaces, spectral
+from . import chaos, field, integrals, kernels, spaces, spectral, verify
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
     InvalidParameterError,
     NotInRkhsError,
-    NotPositiveSemidefiniteError,
     NumericError,
     UnknownKernelError,
 )
@@ -165,6 +164,10 @@ INTEGRAND_SCHEMA = {
 }
 
 
+#: values of the optional top-level keys a config leaves out
+CONFIG_DEFAULTS = {"gauge": "symmetric_sqrt", "gauge_seed": 0, "drop_tol": 1e-12, "seed": 0}
+
+
 class UsageError(Exception):
     """Config or invocation problem: exit code 2."""
 
@@ -176,19 +179,27 @@ class DataError(Exception):
 # -- config plumbing ------------------------------------------------------
 
 
-def load_config(path: str) -> dict:
+def _read_json(path, what: str):
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _validate(document, schema: dict, what: str):
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        jsonschema.validate(document, schema)
     except jsonschema.ValidationError as exc:
-        raise UsageError(f"config schema violation: {exc.message}") from exc
-    return config
+        raise UsageError(f"{what} schema violation: {exc.message}") from exc
+
+
+def load_config(path: str) -> dict:
+    config = _read_json(path, "config")
+    _validate(config, CONFIG_SCHEMA, "config")
+    return {**CONFIG_DEFAULTS, **config}
 
 
 def build_space(config: dict) -> spaces.DiscreteMeasureSpace:
@@ -196,10 +207,7 @@ def build_space(config: dict) -> spaces.DiscreteMeasureSpace:
     try:
         if spec["type"] == "interval_grid":
             return spaces.interval_grid(spec["n"])
-        return spaces.DiscreteMeasureSpace(
-            points=np.asarray(spec["points"], dtype=float),
-            weights=np.asarray(spec["weights"], dtype=float),
-        )
+        return spaces.DiscreteMeasureSpace(points=spec["points"], weights=spec["weights"])
     except (ValueError, DimensionMismatchError) as exc:
         raise UsageError(f"bad space spec: {exc}") from exc
 
@@ -211,9 +219,7 @@ def build_kernel(config: dict, base_dir: Path) -> kernels.CovarianceKernel:
         file = spec.get("file")
         if not file:
             raise UsageError("custom kernel requires a 'file' with the matrix CSV")
-        path = Path(file)
-        if not path.is_absolute():
-            path = base_dir / path
+        path = base_dir / file   # an absolute file replaces base_dir
         try:
             entries = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError as exc:
@@ -231,33 +237,14 @@ def build_kernel(config: dict, base_dir: Path) -> kernels.CovarianceKernel:
 
 
 def assemble_and_decompose(config: dict, base_dir: Path):
-    """Space, covariance matrix, and decomposition from a config.
-
-    Numeric failures (non-finite kernel values, indefinite matrices) map
-    to DataError so the process exits 1, not 2.
-    """
+    """Space, covariance matrix, and decomposition from a config."""
     space = build_space(config)
-    kernel = build_kernel(config, base_dir)
-    try:
-        C = kernels.assemble(kernel, space)
-        dec = spectral.decompose(C, space, drop_tol=config.get("drop_tol", 1e-12))
-    except (NotPositiveSemidefiniteError, NumericError, DimensionMismatchError) as exc:
-        raise DataError(str(exc)) from exc
-    return space, C, dec
-
-
-def build_field_from_config(config: dict, base_dir: Path) -> field.GaussianField:
-    space, _, dec = assemble_and_decompose(config, base_dir)
-    h = spectral.factorize(
-        dec,
-        gauge=config.get("gauge", "symmetric_sqrt"),
-        seed=config.get("gauge_seed", 0),
-    )
-    return field.GaussianField(space=space, dec=dec, factor=h)
+    C = kernels.assemble(build_kernel(config, base_dir), space)
+    return space, C, spectral.decompose(C, space, drop_tol=config["drop_tol"])
 
 
 def _apply_overrides(config: dict, args) -> dict:
-    config = dict(config)
+    """Command-line overrides, applied to the fresh dict load_config returns."""
     if args.seed is not None:
         config["seed"] = args.seed
     if args.truncate is not None:
@@ -283,7 +270,6 @@ def _apply_overrides(config: dict, args) -> dict:
 
 
 def _write_atomic(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -311,8 +297,7 @@ def _write_csv(path: Path, matrix: np.ndarray, header: str):
 
 def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
     space, C, dec = assemble_and_decompose(config, base_dir)
-    h = spectral.factorize(dec, gauge=config.get("gauge", "symmetric_sqrt"),
-                           seed=config.get("gauge_seed", 0))
+    h = spectral.factorize(dec, gauge=config["gauge"], seed=config["gauge_seed"])
     trace = kernels.trace_of_operator(C, space)
     _write_json(out_dir / "decomposition.json", {
         "eigenvalues": dec.eigenvalues.tolist(),
@@ -331,15 +316,14 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
 
 
 def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
-    fld = build_field_from_config(config, base_dir)
+    fld = field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
+                            gauge=config["gauge"], drop_tol=config["drop_tol"],
+                            gauge_seed=config["gauge_seed"])
     options = config.get("sample", {})
     n_draws = options.get("n_draws", 100)
-    seed = config.get("seed", 0)
-    m = config.get("truncate")
-    if m is None:
-        m = fld.dec.rank
+    seed = config["seed"]
     try:
-        batch = field.sample(fld, n_draws, m=m, seed=seed)
+        batch = field.sample(fld, n_draws, m=config.get("truncate"), seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     fmt = options.get("format", "dense")
@@ -367,140 +351,31 @@ def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
     return EXIT_OK
 
 
-def _check(name: str, error: float, tolerance: float, detail: str = "") -> dict:
-    return {
-        "name": name,
-        "pass": bool(error <= tolerance),
-        "error": float(error),
-        "tolerance": float(tolerance),
-        "detail": detail,
-    }
-
-
-#: deterministic verify tolerances; overridable via verify.tolerances
-DEFAULT_TOLERANCES = {
-    "factorization": 1e-8,   # relative to the top eigenvalue
-    "orthonormality": 1e-10,
-    "trace": 1e-10,          # relative
-    "reproducing": 1e-6,     # scaled by ||f|| sqrt(K(x,x))
-    "duality": 1e-10,
-    "isometry": 1e-12,
-}
+def _read_factor(file: str, base_dir: Path, dec) -> spectral.WhiteNoiseKernel:
+    path = base_dir / file
+    try:
+        F = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read factor file {path}: {exc}") from exc
+    if F.shape != (dec.space.size, dec.rank):
+        raise DataError(
+            f"factor file shape {F.shape} does not match ({dec.space.size}, {dec.rank})"
+        )
+    return spectral.WhiteNoiseKernel(factor=F, gauge="file")
 
 
 def cmd_verify(config: dict, out_dir: Path, base_dir: Path) -> int:
-    options = config.get("verify", {})
-    band_se = options.get("band_se", 5.0)
-    tol = {**DEFAULT_TOLERANCES, **options.get("tolerances", {})}
-    seed = config.get("seed", 0)
-    rng = np.random.default_rng(seed)
-
-    space, C, dec = assemble_and_decompose(config, base_dir)
-    lam1 = dec.eigenvalues[0] if dec.rank else 0.0
-    checks = []
-
-    # factorization identity, per gauge; an external factor file replaces
-    # the canonical gauge so corrupted factors are caught
-    reproductions = {}
-    factor_file = options.get("factor_file")
-    for gauge in spectral.GAUGES:
-        if gauge == "symmetric_sqrt" and factor_file:
-            path = Path(factor_file)
-            if not path.is_absolute():
-                path = base_dir / path
-            try:
-                F = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            except (OSError, ValueError) as exc:
-                raise DataError(f"cannot read factor file {path}: {exc}") from exc
-            if F.shape != (space.size, dec.rank):
-                raise DataError(
-                    f"factor file shape {F.shape} does not match ({space.size}, {dec.rank})"
-                )
-            h = spectral.WhiteNoiseKernel(factor=F, gauge="file")
-        else:
-            h = spectral.factorize(dec, gauge, seed=config.get("gauge_seed", 0))
-        R = spectral.reproduce_covariance(h, space)
-        reproductions[gauge] = R
-        err = float(np.max(np.abs(R - C)))
-        checks.append(_check(f"factorization_identity[{gauge}]", err, tol["factorization"] * lam1,
-                             "max entrywise |hh^T - C|"))
-
-    pairs = [(a, b) for i, a in enumerate(spectral.GAUGES) for b in spectral.GAUGES[i + 1:]]
-    gauge_err = max(
-        float(np.max(np.abs(reproductions[a] - reproductions[b]))) for a, b in pairs
+    options = dict(config.get("verify", {}))
+    factor_file = options.pop("factor_file", None)
+    _, C, dec = assemble_and_decompose(config, base_dir)
+    checks = verify.battery(
+        C, dec, gauge=config["gauge"], gauge_seed=config["gauge_seed"], seed=config["seed"],
+        external_factor=_read_factor(factor_file, base_dir, dec) if factor_file else None,
+        **options,
     )
-    checks.append(_check("gauge_invariance", gauge_err, tol["factorization"] * lam1,
-                         "max entrywise spread of reproduced covariances"))
-
-    gram = dec.whitened_vectors().T @ dec.whitened_vectors()
-    ortho_err = float(np.max(np.abs(gram - np.eye(dec.rank))))
-    checks.append(_check("eigenfunction_orthonormality", ortho_err, tol["orthonormality"]))
-
-    trace = kernels.trace_of_operator(C, space)
-    trace_err = abs(trace - float(dec.eigenvalues.sum())) / max(abs(trace), 1e-300)
-    checks.append(_check("trace_consistency", trace_err, tol["trace"],
-                         "relative |trace - sum of eigenvalues|"))
-
-    worst = 0.0
-    for _ in range(options.get("reproducing_functions", 10)):
-        coeffs = rng.standard_normal(dec.rank)
-        fvec = dec.eigenfunctions @ (np.sqrt(dec.eigenvalues) * coeffs)
-        element = spectral.to_rkhs(fvec, dec)
-        norm = np.sqrt(element.norm_squared())
-        for x in range(space.size):
-            lhs = spectral.rkhs_inner(element, spectral.kernel_section(x, dec))
-            scale = max(norm * np.sqrt(max(C[x, x], 0.0)), 1e-300)
-            worst = max(worst, abs(lhs - fvec[x]) / scale)
-    checks.append(_check("reproducing_property", worst, tol["reproducing"],
-                         "scaled |<f, K(x,.)> - f(x)| over random eigen-span f"))
-
-    n_draws = options.get("n_draws", 20000)
-    fld = field.GaussianField(space=space, dec=dec,
-                              factor=spectral.factorize(dec, config.get("gauge", "symmetric_sqrt"),
-                                                        seed=config.get("gauge_seed", 0)))
-    batch = field.sample(fld, n_draws, seed=seed)
-    emp = field.empirical_covariance(batch)
-    se = field.covariance_standard_error(C, n_draws)
-    band_err = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
-    checks.append(_check("empirical_covariance_band", band_err, band_se,
-                         f"max |Chat - C| in standard errors, N={n_draws}"))
-
-    if dec.rank >= 2:
-        worst_z = 0.0
-        full = field.sample(fld, n_draws, seed=seed).draws
-        for m in {1, dec.rank // 2}:
-            trunc = field.sample(fld, n_draws, m=m, seed=seed).draws
-            sq = ((full - trunc) ** 2 * space.weights[None, :]).sum(axis=1)
-            target = field.truncation_error(dec, m)
-            tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
-            worst_z = max(worst_z, abs(float(sq.mean()) - target) / max(tail_se, 1e-300))
-        checks.append(_check("truncation_band", worst_z, band_se,
-                             "empirical L2 truncation error in standard errors"))
-
-    n_pairs = options.get("duality_pairs", 100)
-    worst_dual = 0.0
-    for _ in range(n_pairs):
-        m_vars = int(rng.integers(1, 7))
-        F = chaos.random_polynomial(rng, m_vars, 4, 5)
-        u = integrals.RandomIntegrand(
-            tuple(chaos.random_polynomial(rng, m_vars, 4, 4) for _ in range(m_vars))
-        )
-        worst_dual = max(worst_dual, integrals.duality_check(F, u))
-    checks.append(_check("duality_battery", worst_dual, tol["duality"],
-                         f"|E[F delta(u)] - E[<DF,u>]| over {n_pairs} random pairs"))
-
-    iso_err = 0.0
-    for _ in range(5):
-        coeffs = rng.standard_normal(min(dec.rank, 6))
-        f_el = spectral.RkhsElement(coeffs)
-        delta = integrals.skorokhod_integral(integrals.deterministic_integrand(f_el))
-        iso_err = max(iso_err, abs(chaos.expectation(delta * delta) - f_el.norm_squared()))
-    checks.append(_check("deterministic_isometry", iso_err, tol["isometry"],
-                         "|E[delta(f)^2] - ||f||^2| symbolically"))
-
     all_pass = all(c["pass"] for c in checks)
-    report = {"all_pass": all_pass, "seed": seed, "checks": checks}
-    _write_json(out_dir / "verification.json", report)
+    _write_json(out_dir / "verification.json",
+                {"all_pass": all_pass, "seed": config["seed"], "checks": checks})
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
         print(f"[{status}] {c['name']}: error {c['error']:.3e} (tol {c['tolerance']:.3e})")
@@ -508,45 +383,33 @@ def cmd_verify(config: dict, out_dir: Path, base_dir: Path) -> int:
     return EXIT_OK if all_pass else EXIT_FAILURE
 
 
-def _load_integrand(config: dict, args, base_dir: Path) -> dict:
+def _load_integrand(config: dict, args) -> dict:
     if getattr(args, "integrand", None):
         # command-line path: resolved against the working directory
-        path = Path(args.integrand)
-        try:
-            with open(path) as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read integrand {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"integrand {path} is not valid JSON: {exc}") from exc
+        spec = _read_json(Path(args.integrand), "integrand")
     else:
         spec = config.get("integrate", {}).get("integrand")
     if not spec:
         raise UsageError("no integrand given (config integrate.integrand or --integrand FILE)")
-    try:
-        jsonschema.validate(spec, INTEGRAND_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise UsageError(f"integrand schema violation: {exc.message}") from exc
+    _validate(spec, INTEGRAND_SCHEMA, "integrand")
     if bool(spec.get("components")) == bool(spec.get("field_values")):
         raise UsageError("integrand needs exactly one of 'components' or 'field_values'")
     return spec
 
 
 def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
-    spec = _load_integrand(config, args, base_dir)
-    fld = build_field_from_config(config, base_dir)
+    spec = _load_integrand(config, args)
+    fld = field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
+                            gauge=config["gauge"], drop_tol=config["drop_tol"],
+                            gauge_seed=config["gauge_seed"])
     dec = fld.dec
-    seed = config.get("seed", 0)
+    seed = config["seed"]
     n_draws = config.get("integrate", {}).get("n_draws", 10000)
 
-    if "field_values" in spec and spec["field_values"]:
-        values = np.asarray(spec["field_values"], dtype=float)
-        if values.shape != (fld.space.size,):
-            raise DataError(
-                f"field_values length {values.size} does not match space size {fld.space.size}"
-            )
+    if spec.get("field_values"):
+        # a wrong length raises DimensionMismatchError, which exits 1
         try:
-            element = spectral.to_rkhs(values, dec)
+            element = spectral.to_rkhs(spec["field_values"], dec)
         except NotInRkhsError as exc:
             raise DataError(
                 f"integrand is not in the field's reproducing-kernel space: "
@@ -614,7 +477,9 @@ def cmd_tangent(config: dict, out_dir: Path, base_dir: Path) -> int:
     options = config.get("tangent")
     if not options:
         raise UsageError("tangent command needs a 'tangent' section in the config")
-    fld = build_field_from_config(config, base_dir)
+    fld = field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
+                            gauge=config["gauge"], drop_tol=config["drop_tol"],
+                            gauge_seed=config["gauge_seed"])
     try:
         gram = field.tangent_gram(
             fld, options["t_index"], options["offsets"], options["r"]
@@ -674,23 +539,16 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         base_dir = Path(args.config).resolve().parent
-        if args.command == "factorize":
-            return cmd_factorize(config, out_dir, base_dir)
-        if args.command == "sample":
-            return cmd_sample(config, out_dir, base_dir)
-        if args.command == "verify":
-            return cmd_verify(config, out_dir, base_dir)
         if args.command == "integrate":
             return cmd_integrate(config, out_dir, base_dir, args)
-        return cmd_tangent(config, out_dir, base_dir)
+        command = {"factorize": cmd_factorize, "sample": cmd_sample,
+                   "verify": cmd_verify, "tangent": cmd_tangent}[args.command]
+        return command(config, out_dir, base_dir)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (NotPositiveSemidefiniteError, NumericError, NotInRkhsError,
-            DimensionMismatchError, InsufficientSamplesError) as exc:
+    except (DataError, NumericError, NotInRkhsError, DimensionMismatchError,
+            InsufficientSamplesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -29,15 +29,12 @@ from .spectral import (
 __all__ = [
     "GaussianField",
     "SampleBatch",
-    "NoiseDraw",
     "build_field",
     "noise_matrix",
-    "draw_noise",
     "sample",
     "empirical_covariance",
     "covariance_standard_error",
     "truncation_error",
-    "white_noise_functional",
     "mollify_factor",
     "tangent_gram",
 ]
@@ -53,8 +50,8 @@ class GaussianField:
 
     def __post_init__(self):
         n, m = self.space.size, self.dec.rank
-        if self.dec.space is not self.space and self.dec.space.size != n:
-            raise DimensionMismatchError("decomposition does not match space")
+        if not np.array_equal(self.dec.space.weights, self.space.weights):
+            raise DimensionMismatchError("decomposition does not match space weights")
         if self.factor.factor.shape != (n, m):
             raise DimensionMismatchError(
                 f"factor shape {self.factor.factor.shape} does not match ({n}, {m})"
@@ -70,15 +67,6 @@ class SampleBatch:
     truncation: int
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One vector of i.i.d. standard normals from stream (seed, stream)."""
-
-    xi: np.ndarray
-    seed: int
-    stream: int
-
-
 def build_field(
     kernel: CovarianceKernel,
     space: DiscreteMeasureSpace,
@@ -91,18 +79,6 @@ def build_field(
     dec = decompose(C, space, drop_tol=drop_tol)
     h = factorize(dec, gauge=gauge, seed=gauge_seed)
     return GaussianField(space=space, dec=dec, factor=h)
-
-
-def _uniforms(seed: int, block_start: int, count: int) -> np.ndarray:
-    """Uniforms starting at counter block ``block_start`` of the seed's stream.
-
-    One Philox counter block yields 4 doubles, so the first value returned
-    sits at stream position 4 * block_start.
-    """
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(block_start)
-    gen = np.random.Generator(bitgen)
-    return gen.random(count)
 
 
 def noise_matrix(
@@ -126,16 +102,13 @@ def noise_matrix(
     if n_draws < 1:
         raise ValueError("need at least one draw")
     blocks_per_row = max(1, -(-stride // 4))
-    u = _uniforms(seed, row_start * blocks_per_row, n_draws * blocks_per_row * 4)
+    # one Philox counter block yields 4 doubles
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(row_start * blocks_per_row)
+    u = np.random.Generator(bitgen).random(n_draws * blocks_per_row * 4)
     u = u.reshape(n_draws, blocks_per_row * 4)[:, :m]
     # guard ndtri against u == 0 (probability 2^-53 per variate)
     return ndtri(np.maximum(u, 2.0**-53))
-
-
-def draw_noise(m: int, seed: int, stream: int = 0, stride: int | None = None) -> NoiseDraw:
-    """Single noise vector of length m from stream block ``stream``."""
-    xi = noise_matrix(1, m, seed, row_start=stream, stride=stride)[0]
-    return NoiseDraw(xi=xi, seed=seed, stream=stream)
 
 
 def sample(
@@ -205,21 +178,6 @@ def truncation_error(dec: MercerDecomposition, m: int) -> float:
     if not 0 <= m <= dec.rank:
         raise ValueError(f"truncation m={m} out of range [0, {dec.rank}]")
     return float(dec.eigenvalues[m:].sum())
-
-
-def white_noise_functional(h_coeffs, noise) -> float:
-    """White-noise integral of h given by coordinates against the eigenbasis.
-
-    W(h) = sum_k h_k xi_k; linear in h, and across draws
-    E[W(h) W(g)] equals the coordinate inner product <h, g>.
-    """
-    h = np.asarray(h_coeffs, dtype=float).ravel()
-    xi = np.asarray(noise.xi if isinstance(noise, NoiseDraw) else noise, dtype=float).ravel()
-    if h.shape != xi.shape:
-        raise DimensionMismatchError(
-            f"coefficient length {h.shape[0]} does not match noise length {xi.shape[0]}"
-        )
-    return float(np.dot(h, xi))
 
 
 def _mollifier_window(points: np.ndarray, bandwidth: float) -> np.ndarray:

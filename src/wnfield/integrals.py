@@ -24,7 +24,6 @@ from .chaos import (
     malliavin_derivative,
 )
 from .errors import DimensionMismatchError
-from .field import NoiseDraw
 from .spectral import MercerDecomposition, RkhsElement
 
 __all__ = [
@@ -48,15 +47,15 @@ def deterministic_integrand(f: RkhsElement) -> RandomIntegrand:
     )
 
 
-def wiener_integral(f: RkhsElement, noise: NoiseDraw) -> float:
-    """Integral of a deterministic integrand: sum_k a_k xi_k.
+def wiener_integral(f: RkhsElement, xi) -> float:
+    """Integral of a deterministic integrand against noise xi: sum_k a_k xi_k.
 
     The coefficients against the RKHS basis are exactly the series
     weights, so across draws the value is centered Gaussian with variance
     equal to the squared RKHS norm of f.
     """
     a = f.coeffs
-    xi = np.asarray(noise.xi, dtype=float).ravel()
+    xi = np.asarray(xi, dtype=float).ravel()
     if a.shape != xi.shape:
         raise DimensionMismatchError(
             f"integrand has {a.shape[0]} coefficients but noise has {xi.shape[0]}"

@@ -38,15 +38,18 @@ class CovarianceKernel:
     The evaluator must accept broadcastable ndarrays of point coordinates and
     return the kernel values elementwise; symmetry is the caller's promise
     and is additionally absorbed by symmetrization at assembly. Data-defined
-    kernels carry their dense entries in ``matrix`` and index by position
-    instead of coordinate.
+    kernels have no evaluator: they carry their dense entries in ``matrix``,
+    indexed by node position instead of coordinate.
     """
 
     name: str
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     params: Mapping[str, float] = field(default_factory=dict)
     matrix: np.ndarray | None = None
 
+
+#: largest max|C - C^T| a matrix kernel may have, relative to max|C|
+SYMMETRY_TOL = 1e-10
 
 #: kernels whose formulas only make sense for scalar coordinates
 _SCALAR_ONLY = ("brownian_motion", "brownian_bridge", "fbm")
@@ -155,18 +158,23 @@ def builtin_kernel_names() -> tuple[str, ...]:
 def matrix_kernel(entries: np.ndarray, name: str = "custom") -> CovarianceKernel:
     """Wrap a user-supplied dense matrix as a kernel over point indices.
 
-    The evaluator ignores coordinates and reads C[i, j]; it only makes sense
-    together with the space whose size matches the matrix. Used for kernels
-    supplied as data files instead of code.
+    Entry C[i, j] is the covariance of nodes i and j, so the kernel only
+    makes sense together with a space whose size matches the matrix. Used
+    for kernels supplied as data files instead of code. The matrix must be
+    symmetric up to ``SYMMETRY_TOL`` relative to its largest entry; a
+    grossly asymmetric one is rejected rather than symmetrized.
     """
     C = np.asarray(entries, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InvalidParameterError(f"matrix kernel must be square, got shape {C.shape}")
-
-    def by_index(i, j):
-        return C[np.asarray(i, dtype=int), np.asarray(j, dtype=int)]
-
-    return CovarianceKernel(name, by_index, {"size": C.shape[0]}, matrix=C)
+    gap = np.abs(C - C.T)
+    if gap.size and gap.max() > SYMMETRY_TOL * np.abs(C).max():
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        raise InvalidParameterError(
+            f"matrix kernel is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {gap[i, j]:.3e} "
+            f"exceeds {SYMMETRY_TOL:g} * max|C|"
+        )
+    return CovarianceKernel(name, None, {"size": C.shape[0]}, matrix=C)
 
 
 def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarray:

@@ -41,7 +41,6 @@ __all__ = [
     "to_rkhs",
     "rkhs_inner",
     "kernel_section",
-    "hs_norm",
 ]
 
 GAUGES = ("symmetric_sqrt", "triangular", "rotated")
@@ -252,13 +251,12 @@ def factorize(dec: MercerDecomposition, gauge: str = "symmetric_sqrt", seed: int
             return WhiteNoiseKernel(factor=A, gauge=gauge)
         V = dec.whitened_vectors()
         Z = V * sqrt_lam[None, :]
-        # LQ of Z: Z = L Q_l with L lower trapezoidal, Q_l orthogonal
-        Q, R = scipy.linalg.qr(Z.T, mode="economic")
-        L, Q_l = R.T, Q.T
-        flip = np.sign(np.diag(L))
+        # LQ of Z: Z = L Q_l with L lower trapezoidal, Q_l orthogonal; only
+        # L is needed, so Q_l is never formed
+        (R,) = scipy.linalg.qr(Z.T, mode="r")
+        flip = np.sign(np.diag(R))
         flip[flip == 0.0] = 1.0
-        L = L * flip[None, :]
-        Q_l = Q_l * flip[:, None]
+        L = R.T * flip[None, :]
         w_sqrt = np.sqrt(dec.space.weights)
         if m == n:
             F = (L @ V) / w_sqrt[:, None]
@@ -290,19 +288,6 @@ def pointwise_kernel_matrix(h: WhiteNoiseKernel, dec: MercerDecomposition) -> np
             f"({dec.space.size}, {dec.rank})"
         )
     return F @ dec.eigenfunctions.T
-
-
-def hs_norm(h: WhiteNoiseKernel, space: DiscreteMeasureSpace) -> float:
-    """Hilbert-Schmidt norm of the factor: sqrt(sum_ik h_ik^2 w_i).
-
-    Equals sqrt(sum_k lambda_k) for any gauge.
-    """
-    F = np.asarray(h.factor, dtype=float)
-    if F.shape[0] != space.size:
-        raise DimensionMismatchError(
-            f"factor has {F.shape[0]} rows but space has {space.size} points"
-        )
-    return float(np.sqrt(np.einsum("ik,ik,i->", F, F, space.weights)))
 
 
 def to_rkhs(f, dec: MercerDecomposition, membership_tol: float = 1e-8) -> RkhsElement:

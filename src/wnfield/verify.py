@@ -1,0 +1,151 @@
+"""The invariant battery behind ``wnfield verify``.
+
+The white-noise factor is unique only up to an orthogonal gauge, and every
+truncation of the series sum_k xi_k h_k is a function of the same noise
+vector, so one factor per gauge and one noise matrix serve every check.
+Each check is a record ``{name, pass, error, tolerance, detail}``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import chaos, field, integrals, kernels, spectral
+
+__all__ = ["DEFAULT_TOLERANCES", "check", "battery"]
+
+#: deterministic tolerances; each can be overridden by name
+DEFAULT_TOLERANCES = {
+    "factorization": 1e-8,   # relative to the top eigenvalue
+    "orthonormality": 1e-10,
+    "trace": 1e-10,          # relative
+    "reproducing": 1e-6,     # scaled by ||f|| sqrt(K(x,x))
+    "duality": 1e-10,
+    "isometry": 1e-12,
+}
+
+
+def check(name: str, error: float, tolerance: float, detail: str = "") -> dict:
+    return {
+        "name": name,
+        "pass": bool(error <= tolerance),
+        "error": float(error),
+        "tolerance": float(tolerance),
+        "detail": detail,
+    }
+
+
+def _factor_checks(C, dec, factors: dict, tol: dict) -> list[dict]:
+    """hh^T = C for each gauge's factor, and the spread across gauges."""
+    scale = tol["factorization"] * (dec.eigenvalues[0] if dec.rank else 0.0)
+    reproduced = {g: spectral.reproduce_covariance(h, dec.space) for g, h in factors.items()}
+    checks = [check(f"factorization_identity[{g}]", float(np.max(np.abs(R - C))), scale,
+                    "max entrywise |hh^T - C|") for g, R in reproduced.items()]
+    gauges = list(reproduced)
+    spread = max(float(np.max(np.abs(reproduced[a] - reproduced[b])))
+                 for i, a in enumerate(gauges) for b in gauges[i + 1:])
+    checks.append(check("gauge_invariance", spread, scale,
+                        "max entrywise spread of reproduced covariances"))
+    return checks
+
+
+def _spectral_checks(C, dec, canonical, rng, n_functions: int, tol: dict) -> list[dict]:
+    """Orthonormal eigenfunctions, trace = sum of eigenvalues, and
+    <f, K(x, .)> = f(x) at every node for random f in the eigen-span.
+
+    Row x of the canonical factor Phi Lambda^{1/2} holds the RKHS
+    coordinates of the section K(x, .), so one matmul covers every node.
+    """
+    V = dec.whitened_vectors()
+    ortho = float(np.max(np.abs(V.T @ V - np.eye(dec.rank)), initial=0.0))   # rank may be 0
+    trace = kernels.trace_of_operator(C, dec.space)
+    rel_err = abs(trace - float(dec.eigenvalues.sum())) / max(abs(trace), 1e-300)
+    root_diag = np.sqrt(np.maximum(np.diag(C), 0.0))
+    worst = 0.0
+    for _ in range(n_functions):
+        coeffs = rng.standard_normal(dec.rank)
+        fvec = dec.eigenfunctions @ (np.sqrt(dec.eigenvalues) * coeffs)
+        element = spectral.to_rkhs(fvec, dec)
+        scale = np.maximum(np.sqrt(element.norm_squared()) * root_diag, 1e-300)
+        residual = np.abs(canonical.factor @ element.coeffs - fvec) / scale
+        worst = max(worst, float(np.max(residual)))
+    return [
+        check("eigenfunction_orthonormality", ortho, tol["orthonormality"]),
+        check("trace_consistency", rel_err, tol["trace"], "relative |trace - sum of eigenvalues|"),
+        check("reproducing_property", worst, tol["reproducing"],
+              "scaled |<f, K(x,.)> - f(x)| over random eigen-span f"),
+    ]
+
+
+def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
+                     band_se: float) -> list[dict]:
+    """Empirical covariance band of ``factor``'s draws, which are what
+    ``field.sample`` gives at this seed, and the truncation band, on the
+    same noise. Full minus truncated draws is the tail of the canonical
+    factor A: other gauges mix the noise coordinates, so their column tail
+    is not the eigen-series tail that ``truncation_error`` measures."""
+    xi = field.noise_matrix(n_draws, dec.rank, seed)
+    emp = field.empirical_covariance(field.SampleBatch(xi @ factor.factor.T, seed, dec.rank))
+    se = field.covariance_standard_error(C, n_draws)
+    band = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
+    checks = [check("empirical_covariance_band", band, band_se,
+                    f"max |Chat - C| in standard errors, N={n_draws}")]
+    if dec.rank >= 2:
+        worst = 0.0
+        for m in {1, dec.rank // 2}:
+            tail = xi[:, m:] @ canonical.factor[:, m:].T
+            sq = np.square(tail, out=tail) @ dec.space.weights
+            target = field.truncation_error(dec, m)
+            tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
+            worst = max(worst, abs(float(sq.mean()) - target) / max(tail_se, 1e-300))
+        checks.append(check("truncation_band", worst, band_se,
+                            "empirical L2 truncation error in standard errors"))
+    return checks
+
+
+def _chaos_checks(dec, rng, n_pairs: int, tol: dict) -> list[dict]:
+    """Skorokhod duality over random polynomial pairs, and the isometry
+    E[delta(f)^2] = ||f||^2 for deterministic f, both symbolic."""
+    worst_dual = 0.0
+    for _ in range(n_pairs):
+        m_vars = int(rng.integers(1, 7))
+        F = chaos.random_polynomial(rng, m_vars, 4, 5)
+        u = integrals.RandomIntegrand(
+            tuple(chaos.random_polynomial(rng, m_vars, 4, 4) for _ in range(m_vars))
+        )
+        worst_dual = max(worst_dual, integrals.duality_check(F, u))
+    iso_err = 0.0
+    for _ in range(5):
+        f = spectral.RkhsElement(rng.standard_normal(min(dec.rank, 6)))
+        delta = integrals.skorokhod_integral(integrals.deterministic_integrand(f))
+        iso_err = max(iso_err, abs(chaos.expectation(delta * delta) - f.norm_squared()))
+    return [
+        check("duality_battery", worst_dual, tol["duality"],
+              f"|E[F delta(u)] - E[<DF,u>]| over {n_pairs} random pairs"),
+        check("deterministic_isometry", iso_err, tol["isometry"],
+              "|E[delta(f)^2] - ||f||^2| symbolically"),
+    ]
+
+
+def battery(C, dec, *, gauge: str = "symmetric_sqrt", gauge_seed: int = 0, seed: int = 0,
+            n_draws: int = 20000, band_se: float = 5.0, reproducing_functions: int = 10,
+            duality_pairs: int = 100, tolerances: dict | None = None,
+            external_factor=None) -> list[dict]:
+    """Every check on covariance ``C`` and its decomposition, in report order.
+
+    ``gauge`` and ``gauge_seed`` pick the sampled factor; ``seed`` keys the
+    noise and the random test functions and polynomials. An
+    ``external_factor`` (read from a file, say) replaces the canonical one
+    in the factorization identity and gauge invariance checks only.
+    """
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    rng = np.random.default_rng(seed)
+    factors = {g: spectral.factorize(dec, g, seed=gauge_seed) for g in spectral.GAUGES}
+    canonical = factors["symmetric_sqrt"]
+    checked = factors if external_factor is None else {**factors, "symmetric_sqrt": external_factor}
+    return [
+        *_factor_checks(C, dec, checked, tol),
+        *_spectral_checks(C, dec, canonical, rng, reproducing_functions, tol),
+        *_sampling_checks(C, dec, factors[gauge], canonical, seed, n_draws, band_se),
+        *_chaos_checks(dec, rng, duality_pairs, tol),
+    ]

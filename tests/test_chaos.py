@@ -11,7 +11,6 @@ from wnfield.chaos import (
     malliavin_derivative,
     parse_polynomial,
     random_polynomial,
-    sobolev_inner,
 )
 from wnfield.errors import DimensionMismatchError
 from wnfield.spectral import RkhsElement
@@ -224,17 +223,3 @@ def test_format_examples():
     assert format_polynomial(X1**2 - 1.0) == "x1^2 - 1"
     assert format_polynomial(ChaosPolynomial.zero()) == "0"
     assert format_polynomial(-X1) == "-x1"
-
-
-def test_sobolev_inner():
-    # <xi_1, xi_1> = E[xi_1^2] + E[1] = 2
-    assert sobolev_inner(X1, X1) == pytest.approx(2.0, abs=1e-14)
-    # <xi_1^2, 1> = E[xi_1^2] + 0 = 1
-    assert sobolev_inner(X1**2, ONE) == pytest.approx(1.0, abs=1e-14)
-    # mixed variable counts extend transparently; induced norm is positive
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        F = random_polynomial(rng, int(rng.integers(1, 5)), 3, 4)
-        G = random_polynomial(rng, int(rng.integers(1, 5)), 3, 4)
-        assert sobolev_inner(F, G) == pytest.approx(sobolev_inner(G, F), abs=1e-10)
-        assert sobolev_inner(F, F) >= 0.0

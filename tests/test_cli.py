@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wnfield import field, spectral
 from wnfield.cli import main
 from wnfield.kernels import assemble, builtin_kernel
 from wnfield.spaces import interval_grid
@@ -64,6 +65,17 @@ def test_factorize_indefinite_matrix_exits_1(tmp_path, capsys):
     assert "e-01" in err or "-0.5" in err  # names the worst eigenvalue
 
 
+def test_factorize_asymmetric_matrix_exits_1(tmp_path, capsys):
+    np.savetxt(tmp_path / "skew.csv", [[1.0, 0.9], [0.1, 1.0]], delimiter=",")
+    cfg = write_config(tmp_path / "skew.json", {
+        "space": {"type": "interval_grid", "n": 2},
+        "kernel": {"name": "custom", "file": "skew.csv"},
+    })
+    assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "not symmetric" in capsys.readouterr().err
+    assert not (tmp_path / "factor.csv").exists()
+
+
 def test_sample_reproducible_and_shaped(tmp_path, capsys):
     cfg = bm_config(tmp_path, n=16, extra={"sample": {"n_draws": 1000}})
     out1 = tmp_path / "run1"
@@ -112,8 +124,10 @@ def test_sample_seed_override(tmp_path):
     assert json.loads((out1 / "samples_meta.json").read_text())["seed"] == 99
 
 
-def test_verify_default_brownian_all_pass(tmp_path, capsys):
+@pytest.mark.parametrize("gauge", spectral.GAUGES)
+def test_verify_default_brownian_all_pass(tmp_path, capsys, gauge):
     cfg = bm_config(tmp_path, n=24, extra={
+        "gauge": gauge,
         "verify": {"n_draws": 20000, "duality_pairs": 25},
     })
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -124,6 +138,41 @@ def test_verify_default_brownian_all_pass(tmp_path, capsys):
     assert "duality_battery" in names
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_draws_noise_once_and_factors_each_gauge_once(tmp_path, monkeypatch):
+    noise_calls, gauges = [], []
+    noise_matrix, factorize = field.noise_matrix, spectral.factorize
+
+    def counting_noise_matrix(*args, **kwargs):
+        noise_calls.append(args)
+        return noise_matrix(*args, **kwargs)
+
+    def counting_factorize(dec, gauge="symmetric_sqrt", seed=0):
+        gauges.append(gauge)
+        return factorize(dec, gauge, seed)
+
+    monkeypatch.setattr(field, "noise_matrix", counting_noise_matrix)
+    monkeypatch.setattr(spectral, "factorize", counting_factorize)
+    cfg = bm_config(tmp_path, n=8, extra={
+        "gauge": "rotated",
+        "verify": {"n_draws": 2000, "duality_pairs": 3},
+    })
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(noise_calls) == 1
+    assert sorted(gauges) == sorted(spectral.GAUGES)
+
+
+def test_verify_zero_covariance_all_pass(tmp_path):
+    # rank 0: every identity holds with an empty factor
+    np.savetxt(tmp_path / "zero.csv", np.zeros((3, 3)), delimiter=",")
+    cfg = write_config(tmp_path / "zero.json", {
+        "space": {"type": "interval_grid", "n": 3},
+        "kernel": {"name": "custom", "file": "zero.csv"},
+        "verify": {"n_draws": 100, "duality_pairs": 2},
+    })
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "verification.json").read_text())["all_pass"] is True
 
 
 def test_verify_duality_battery_size_is_configurable(tmp_path):

@@ -3,20 +3,19 @@ import pytest
 
 from wnfield.errors import DimensionMismatchError, InsufficientSamplesError
 from wnfield.field import (
+    GaussianField,
     build_field,
     covariance_standard_error,
-    draw_noise,
     empirical_covariance,
     mollify_factor,
     noise_matrix,
     sample,
     tangent_gram,
     truncation_error,
-    white_noise_functional,
 )
 from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel
 from wnfield.spaces import DiscreteMeasureSpace, interval_grid
-from wnfield.spectral import reproduce_covariance
+from wnfield.spectral import decompose, factorize, reproduce_covariance
 
 ZERO_KERNEL = CovarianceKernel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape))
 CONSTANT_KERNEL = CovarianceKernel("constant", lambda s, t: np.full(np.broadcast(s, t).shape, 0.7))
@@ -107,6 +106,18 @@ def test_gauge_does_not_change_sampling_distribution():
         assert np.max(np.abs(emp - C) / se) < 5.0
 
 
+def test_field_rejects_decomposition_on_other_weights():
+    points = [0.1, 0.4, 0.9]
+    b = DiscreteMeasureSpace(points=points, weights=[0.125, 0.5, 0.375])
+    dec = decompose(assemble(builtin_kernel("brownian_motion"), b), b)
+    same = DiscreteMeasureSpace(points=points, weights=[0.125, 0.5, 0.375])
+    assert GaussianField(space=same, dec=dec, factor=factorize(dec)).space is same
+    for other in (DiscreteMeasureSpace(points=points, weights=[0.1875, 0.5, 0.3125]),
+                  interval_grid(4)):
+        with pytest.raises(DimensionMismatchError):
+            GaussianField(space=other, dec=dec, factor=factorize(dec))
+
+
 def test_truncation_error_edges():
     fld = build_field(builtin_kernel("brownian_motion"), interval_grid(32))
     dec = fld.dec
@@ -135,26 +146,6 @@ def test_truncation_error_matches_empirical():
         assert abs(sq.mean() - target) < 5.0 * se
 
 
-def test_white_noise_functional_exact_cases():
-    noise = draw_noise(4, seed=12)
-    assert white_noise_functional(np.zeros(4), noise) == 0.0
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    assert white_noise_functional(e1, noise) == noise.xi[0]
-    with pytest.raises(DimensionMismatchError):
-        white_noise_functional(np.ones(3), noise)
-
-
-def test_white_noise_functional_linearity():
-    rng = np.random.default_rng(4)
-    noise = draw_noise(6, seed=8)
-    for _ in range(20):
-        h, g = rng.standard_normal((2, 6))
-        a, b = rng.standard_normal(2)
-        lhs = white_noise_functional(a * h + b * g, noise)
-        rhs = a * white_noise_functional(h, noise) + b * white_noise_functional(g, noise)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
 def test_white_noise_functional_second_moment():
     # ||h|| = 2: E[W(h)^2] = 4, chi-square standard error 4*sqrt(2/N)
     n_draws = 100_000
@@ -181,8 +172,6 @@ def test_noise_rows_are_order_independent():
     A = noise_matrix(12, 5, seed=42)
     B = noise_matrix(4, 5, seed=42, row_start=6)
     assert np.array_equal(B, A[6:10])
-    d = draw_noise(5, seed=42, stream=3)
-    assert np.array_equal(d.xi, A[3])
 
 
 def test_mollify_identity_below_cell_width():

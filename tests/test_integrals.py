@@ -8,7 +8,7 @@ from wnfield.chaos import (
     random_polynomial,
 )
 from wnfield.errors import DimensionMismatchError
-from wnfield.field import build_field, draw_noise, noise_matrix, sample
+from wnfield.field import build_field, noise_matrix, sample
 from wnfield.integrals import (
     RandomIntegrand,
     deterministic_integrand,
@@ -59,13 +59,24 @@ def reference_divergence(components):
 
 
 def test_wiener_integral_basis_element():
-    noise = draw_noise(4, seed=9)
+    xi = noise_matrix(1, 4, seed=9)[0]
     f = RkhsElement([1.0, 0.0, 0.0, 0.0])
-    assert wiener_integral(f, noise) == noise.xi[0]
+    assert wiener_integral(f, xi) == xi[0]
     zero = RkhsElement(np.zeros(4))
-    assert wiener_integral(zero, noise) == 0.0
+    assert wiener_integral(zero, xi) == 0.0
     with pytest.raises(DimensionMismatchError):
-        wiener_integral(RkhsElement([1.0, 2.0]), noise)
+        wiener_integral(RkhsElement([1.0, 2.0]), xi)
+
+
+def test_wiener_integral_linearity():
+    rng = np.random.default_rng(4)
+    xi = noise_matrix(1, 6, seed=8)[0]
+    for _ in range(20):
+        h, g = rng.standard_normal((2, 6))
+        a, b = rng.standard_normal(2)
+        lhs = wiener_integral(RkhsElement(a * h + b * g), xi)
+        rhs = a * wiener_integral(RkhsElement(h), xi) + b * wiener_integral(RkhsElement(g), xi)
+        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_wiener_integral_variance_matches_reproducing_kernel():

@@ -147,6 +147,14 @@ def test_matrix_kernel_shape_checks():
         assemble(matrix_kernel(np.eye(3)), interval_grid(2))
 
 
+def test_matrix_kernel_rejects_asymmetric_entries():
+    with pytest.raises(InvalidParameterError, match=r"not symmetric: \|C\[0, 1\] - C\[1, 0\]\|"):
+        matrix_kernel(np.array([[1.0, 0.9], [0.1, 1.0]]))
+    # asymmetry at round-off level is accepted and symmetrized at assembly
+    C = assemble(matrix_kernel(np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])), interval_grid(2))
+    assert np.array_equal(C, C.T)
+
+
 def test_assemble_symmetrizes_asymmetric_evaluator():
     k = CovarianceKernel("skewed", lambda s, t: np.minimum(s, t) + 1e-13 * (s - t))
     C = assemble(k, interval_grid(8))

@@ -14,7 +14,6 @@ from wnfield.spectral import (
     WhiteNoiseKernel,
     decompose,
     factorize,
-    hs_norm,
     kernel_section,
     pointwise_kernel_matrix,
     reproduce_covariance,
@@ -248,22 +247,6 @@ def test_reproducing_property_random_functions():
                 lhs = rkhs_inner(a, kernel_section(x, dec))
                 scale = norm * np.sqrt(max(C[x, x], 1e-300))
                 assert abs(lhs - f[x]) <= 1e-6 * scale
-
-
-def test_hs_norm_values():
-    sp = DiscreteMeasureSpace(points=[0.0], weights=[1.0])
-    dec = decompose(np.array([[1.0]]), sp)
-    assert hs_norm(factorize(dec, "symmetric_sqrt"), sp) == pytest.approx(1.0, abs=1e-14)
-
-    C, sp512, dec512 = _decompose_builtin("brownian_motion", {}, 512)
-    # trace of min(s,t) on the midpoint grid is exactly 1/2
-    assert hs_norm(factorize(dec512, "rotated", seed=3), sp512) == pytest.approx(
-        np.sqrt(0.5), rel=1e-10
-    )
-
-    zero_dec = decompose(np.zeros((4, 4)), interval_grid(4))
-    assert zero_dec.rank == 0
-    assert hs_norm(factorize(zero_dec, "symmetric_sqrt"), interval_grid(4)) == 0.0
 
 
 @pytest.mark.parametrize("name,params", ALL_KERNELS)
