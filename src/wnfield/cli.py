@@ -304,6 +304,7 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
         "eigenfunctions": dec.eigenfunctions.T.tolist(),
         "rank": dec.rank,
         "dropped_mass": dec.dropped_mass,
+        "clamped_mass": dec.clamped_mass,
     })
     header = ",".join(f"k{j + 1}" for j in range(dec.rank))
     _write_csv(out_dir / "factor.csv", h.factor, header)

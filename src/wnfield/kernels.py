@@ -28,6 +28,7 @@ __all__ = [
     "assemble",
     "trace_of_operator",
     "matrix_kernel",
+    "check_symmetric",
 ]
 
 
@@ -48,7 +49,7 @@ class CovarianceKernel:
     matrix: np.ndarray | None = None
 
 
-#: largest max|C - C^T| a matrix kernel may have, relative to max|C|
+#: largest max|C - C^T| a covariance matrix may have, relative to max|C|
 SYMMETRY_TOL = 1e-10
 
 #: kernels whose formulas only make sense for scalar coordinates
@@ -155,25 +156,46 @@ def builtin_kernel_names() -> tuple[str, ...]:
     )
 
 
+def check_symmetric(C: np.ndarray, what: str) -> None:
+    """Reject a square matrix that is not finite or not symmetric.
+
+    Raises NumericError naming the first non-finite entry (i, j), and
+    InvalidParameterError naming the worst pair when max|C - C^T| exceeds
+    ``SYMMETRY_TOL`` * max|C|. A non-finite entry makes its gap non-finite,
+    so one n x n temporary serves both checks.
+    """
+    if not C.size:
+        return
+    gap = C - C.T
+    np.abs(gap, out=gap)
+    worst = gap.max()
+    if not np.isfinite(worst):
+        bad = np.argwhere(~np.isfinite(C))
+        if bad.size:
+            i, j = bad[0]
+            raise NumericError(f"{what} is not finite at entry ({i}, {j})")
+    if worst > SYMMETRY_TOL * max(C.max(), -C.min()):
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        raise InvalidParameterError(
+            f"{what} is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {gap[i, j]:.3e} "
+            f"exceeds {SYMMETRY_TOL:g} * max|C|"
+        )
+
+
 def matrix_kernel(entries: np.ndarray, name: str = "custom") -> CovarianceKernel:
     """Wrap a user-supplied dense matrix as a kernel over point indices.
 
     Entry C[i, j] is the covariance of nodes i and j, so the kernel only
     makes sense together with a space whose size matches the matrix. Used
     for kernels supplied as data files instead of code. The matrix must be
-    symmetric up to ``SYMMETRY_TOL`` relative to its largest entry; a
-    grossly asymmetric one is rejected rather than symmetrized.
+    finite and symmetric up to ``SYMMETRY_TOL`` relative to its largest
+    entry (``check_symmetric``); a grossly asymmetric one is rejected
+    rather than symmetrized.
     """
     C = np.asarray(entries, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InvalidParameterError(f"matrix kernel must be square, got shape {C.shape}")
-    gap = np.abs(C - C.T)
-    if gap.size and gap.max() > SYMMETRY_TOL * np.abs(C).max():
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
-        raise InvalidParameterError(
-            f"matrix kernel is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {gap[i, j]:.3e} "
-            f"exceeds {SYMMETRY_TOL:g} * max|C|"
-        )
+    check_symmetric(C, "matrix kernel")
     return CovarianceKernel(name, None, {"size": C.shape[0]}, matrix=C)
 
 

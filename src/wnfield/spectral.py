@@ -21,12 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatchError,
     NotInRkhsError,
     NotPositiveSemidefiniteError,
+    NumericError,
 )
+from .kernels import check_symmetric
 from .spaces import DiscreteMeasureSpace
 
 __all__ = [
@@ -64,13 +67,15 @@ class MercerDecomposition:
     nodes, orthonormal in the weighted inner product. ``eigenvalues`` are
     sorted descending and strictly above the drop threshold;
     ``dropped_mass`` is the total eigenvalue mass discarded (tiny negatives
-    clamped to zero first).
+    clamped to zero first) and ``clamped_mass`` the total |lambda| of the
+    negative eigenvalues clamped to zero.
     """
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     rank: int
     dropped_mass: float
+    clamped_mass: float
     space: DiscreteMeasureSpace
 
     def reconstruction(self) -> np.ndarray:
@@ -147,6 +152,14 @@ def _order_degenerate_clusters(lam: np.ndarray, V: np.ndarray, scale: float):
     return lam[order], V[:, order]
 
 
+def _lapack(routine: str, *args, **kwargs):
+    """Call a scipy LAPACK wrapper; a nonzero ``info`` raises NumericError."""
+    *out, info = getattr(lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise NumericError(f"LAPACK {routine} failed with info = {info}")
+    return out
+
+
 def decompose(
     C: np.ndarray,
     space: DiscreteMeasureSpace,
@@ -154,11 +167,18 @@ def decompose(
 ) -> MercerDecomposition:
     """Eigendecompose the covariance operator over the space.
 
+    One Householder reduction of the whitened operator to tridiagonal form
+    gives every eigenvalue (divide and conquer, as in LAPACK ``syevd``), so
+    the PSD check, the clamp and ``dropped_mass`` see the whole spectrum,
+    but only the retained eigenvectors are back-transformed to the nodes.
+
     Parameters
     ----------
     C : (n, n) array
-        Covariance matrix on the nodes; must be operator-positive up to
-        round-off (eigenvalues of the whitened form >= -1e-10 * largest).
+        Covariance matrix on the nodes; must be finite, symmetric up to
+        ``kernels.SYMMETRY_TOL`` relative to max|C|, and operator-positive
+        up to round-off (eigenvalues of the whitened form >= -1e-10 *
+        largest).
     space : DiscreteMeasureSpace
         Supplies the quadrature weights defining the operator geometry.
     drop_tol : float
@@ -168,6 +188,13 @@ def decompose(
 
     Raises
     ------
+    DimensionMismatchError
+        If C is not n x n for the space's n points.
+    NumericError
+        If C has a non-finite entry (the first offending (i, j) is
+        named), or if a LAPACK routine reports failure.
+    InvalidParameterError
+        If C is not symmetric; the worst (i, j) is named.
     NotPositiveSemidefiniteError
         If an eigenvalue falls below the round-off band; the worst
         offender is reported.
@@ -178,27 +205,42 @@ def decompose(
         raise DimensionMismatchError(
             f"covariance shape {C.shape} does not match space size {n}"
         )
+    check_symmetric(C, "covariance")
     w_sqrt = np.sqrt(space.weights)
     S = C * w_sqrt[:, None] * w_sqrt[None, :]
-    S = (S + S.T) / 2.0
-    lam, V = np.linalg.eigh(S)
-    lam, V = lam[::-1], V[:, ::-1]
+    # S = Q T Q^T with T tridiagonal; LAPACK reads the lower triangle of the
+    # Fortran-ordered S.T (the upper triangle of S) and overwrites it with
+    # the Householder reflectors that make up Q
+    (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
+    refl, d, e, tau = _lapack("dsytrd", S.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    # dstevd needs a non-empty off-diagonal even when n == 1
+    lam, W = _lapack("dstevd", d, e if n > 1 else np.zeros(1), compute_v=1)
+    lam, W = lam[::-1], W[:, ::-1]
 
-    lam_max = float(lam[0]) if lam.size else 0.0
+    lam_max = float(lam[0])
     neg_band = NEGATIVE_EIGENVALUE_BAND * max(lam_max, 0.0)
-    worst = float(lam[-1]) if lam.size else 0.0
+    worst = float(lam[-1])
     if worst < -neg_band:
         raise NotPositiveSemidefiniteError(
             f"covariance operator is not positive semidefinite: eigenvalue "
             f"{worst:.6e} below tolerance {-neg_band:.6e}",
             worst_eigenvalue=worst,
         )
+    clamped_mass = float(np.abs(lam[lam < 0.0]).sum())
     lam = np.maximum(lam, 0.0)
 
     keep = lam > drop_tol * lam_max if lam_max > 0.0 else np.zeros(n, dtype=bool)
     dropped_mass = float(lam[~keep].sum())
     lam_kept = lam[keep]
-    V_kept = _sign_fix(V[:, keep])
+    V_kept = W[:, keep]
+    if n > 1:
+        # Q = diag(1, Q') with Q' the product of the n - 1 reflectors
+        # (LAPACK dormtr, uplo 'L'), applied to the kept columns only
+        reflectors = refl[1:, :-1]
+        _, work = _lapack("dormqr", "L", "N", reflectors, tau, V_kept[1:], -1)
+        V_kept[1:] = _lapack("dormqr", "L", "N", reflectors, tau, V_kept[1:],
+                             int(work[0]))[0]
+    V_kept = _sign_fix(V_kept)
     lam_kept, V_kept = _order_degenerate_clusters(lam_kept, V_kept, lam_max)
 
     phi = V_kept / w_sqrt[:, None]
@@ -209,6 +251,7 @@ def decompose(
         eigenfunctions=phi,
         rank=int(lam_kept.size),
         dropped_mass=dropped_mass,
+        clamped_mass=clamped_mass,
         space=space,
     )
 

@@ -36,6 +36,8 @@ def test_factorize_brownian_reports_rank_and_trace(tmp_path, capsys):
 
     payload = json.loads((tmp_path / "decomposition.json").read_text())
     assert payload["rank"] == 64
+    assert payload["dropped_mass"] == 0.0
+    assert payload["clamped_mass"] == 0.0
     assert len(payload["eigenvalues"]) == 64
     assert len(payload["eigenfunctions"]) == 64
     factor = np.loadtxt(tmp_path / "factor.csv", delimiter=",", skiprows=1)

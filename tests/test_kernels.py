@@ -147,12 +147,17 @@ def test_matrix_kernel_shape_checks():
         assemble(matrix_kernel(np.eye(3)), interval_grid(2))
 
 
-def test_matrix_kernel_rejects_asymmetric_entries():
+def _decompose_on_grid(M):
+    return decompose(M, interval_grid(M.shape[0]))
+
+
+@pytest.mark.parametrize("accept", [matrix_kernel, _decompose_on_grid],
+                         ids=["matrix_kernel", "decompose"])
+def test_rejects_asymmetric_entries(accept):
     with pytest.raises(InvalidParameterError, match=r"not symmetric: \|C\[0, 1\] - C\[1, 0\]\|"):
-        matrix_kernel(np.array([[1.0, 0.9], [0.1, 1.0]]))
-    # asymmetry at round-off level is accepted and symmetrized at assembly
-    C = assemble(matrix_kernel(np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])), interval_grid(2))
-    assert np.array_equal(C, C.T)
+        accept(np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    # asymmetry at round-off level is accepted
+    accept(np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]]))
 
 
 def test_assemble_symmetrizes_asymmetric_evaluator():

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wnfield.errors import (
     DimensionMismatchError,
     NotInRkhsError,
     NotPositiveSemidefiniteError,
+    NumericError,
 )
 from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel, trace_of_operator
+from wnfield import spectral
 from wnfield.spaces import DiscreteMeasureSpace, interval_grid
 from wnfield.spectral import (
     GAUGES,
@@ -285,6 +289,23 @@ def test_decompose_clamps_roundoff_negatives():
     dec = decompose(C, sp)
     assert dec.rank == 1
     assert dec.dropped_mass == 0.0
+    assert dec.clamped_mass == pytest.approx(1e-12, rel=1e-12, abs=0.0)
+
+
+def test_decompose_rejects_non_finite_entries():
+    C = np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NumericError, match=r"not finite at entry \(0, 1\)"):
+        decompose(C, interval_grid(3))
+    C = np.eye(3)
+    C[2, 1] = np.inf
+    with pytest.raises(NumericError, match=r"not finite at entry \(2, 1\)"):
+        decompose(C, interval_grid(3))
+
+
+def test_decompose_reports_lapack_failure(monkeypatch):
+    monkeypatch.setattr(spectral.lapack, "dstevd", lambda *args, **kwargs: (None, None, 5))
+    with pytest.raises(NumericError, match="dstevd failed with info = 5"):
+        decompose(np.eye(3), interval_grid(3))
 
 
 def test_decompose_zero_matrix():
@@ -329,3 +350,40 @@ def test_degenerate_cluster_order_is_stable():
 def test_decompose_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         decompose(np.eye(3), interval_grid(4))
+
+
+@st.composite
+def _low_rank_covariances(draw):
+    """C = D^{-1/2} Z Z^T D^{-1/2} on random positive weights D: the whitened
+    operator Z Z^T has a random part of rank r and a scaled identity block,
+    so blocks of size >= 2 give a repeated eigenvalue."""
+    n = draw(st.integers(1, 24))
+    block = draw(st.integers(0, n))
+    r = draw(st.integers(0, n - block))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = np.zeros((n, r + block))
+    Z[: n - block, :r] = rng.standard_normal((n - block, r)) * rng.uniform(0.1, 2.0, r)
+    Z[n - block:, r:] = np.eye(block) * draw(st.floats(0.1, 2.0))
+    weights = rng.uniform(0.1, 1.0, n)
+    w_isqrt = 1.0 / np.sqrt(weights)
+    C = (Z @ Z.T) * w_isqrt[:, None] * w_isqrt[None, :]
+    return C, DiscreteMeasureSpace(points=np.arange(float(n)), weights=weights)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(_low_rank_covariances())
+def test_decompose_matches_dense_reference(case):
+    C, sp = case
+    dec = decompose(C, sp)
+    w_sqrt = np.sqrt(sp.weights)
+    ref = np.linalg.eigh((C * w_sqrt[:, None]) * w_sqrt[None, :])[0][::-1]
+    lam_1 = max(ref[0], 0.0)
+    ref = np.maximum(ref, 0.0)
+    keep = ref > 1e-12 * lam_1 if lam_1 > 0.0 else np.zeros(ref.size, dtype=bool)
+    scale = max(lam_1, 1e-300)
+    assert dec.rank == keep.sum()
+    assert np.max(np.abs(dec.eigenvalues - ref[keep]), initial=0.0) <= 1e-12 * scale
+    assert abs(dec.dropped_mass - ref[~keep].sum()) <= 1e-12 * scale
+    V = dec.whitened_vectors()
+    assert np.max(np.abs(V.T @ V - np.eye(dec.rank)), initial=0.0) <= 1e-10
+    assert np.max(np.abs(dec.reconstruction() - C)) <= 1e-8 * scale
