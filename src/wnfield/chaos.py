@@ -10,8 +10,11 @@ gradient, valued in coefficient vectors against the field's RKHS basis.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -91,10 +94,7 @@ class ChaosPolynomial:
 
     def __add__(self, other) -> "ChaosPolynomial":
         other = _coerce(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0.0) + coeff
-        return ChaosPolynomial(out, max(self.num_vars, other.num_vars))
+        return _sum((self, other), max(self.num_vars, other.num_vars))
 
     __radd__ = __add__
 
@@ -112,11 +112,7 @@ class ChaosPolynomial:
         out: dict[tuple[int, ...], float] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                width = max(len(k1), len(k2))
-                key = tuple(
-                    (k1[i] if i < len(k1) else 0) + (k2[i] if i < len(k2) else 0)
-                    for i in range(width)
-                )
+                key = tuple(a + b for a, b in zip_longest(k1, k2, fillvalue=0))
                 out[key] = out.get(key, 0.0) + c1 * c2
         return ChaosPolynomial(out, max(self.num_vars, other.num_vars))
 
@@ -146,15 +142,9 @@ class ChaosPolynomial:
 
     def partial(self, index: int) -> "ChaosPolynomial":
         """Formal partial derivative with respect to xi_{index+1}."""
-        out: dict[tuple[int, ...], float] = {}
-        for key, coeff in self.terms.items():
-            p = key[index] if index < len(key) else 0
-            if p == 0:
-                continue
-            new = list(key)
-            new[index] = p - 1
-            new_key = _trim(new)
-            out[new_key] = out.get(new_key, 0.0) + coeff * p
+        # lowering one exponent maps distinct keys to distinct keys: nothing to merge
+        out = {key[:index] + (key[index] - 1,) + key[index + 1:]: coeff * key[index]
+               for key, coeff in self.terms.items() if index < len(key) and key[index]}
         return ChaosPolynomial(out, self.num_vars)
 
     def __call__(self, xi) -> float:
@@ -175,6 +165,15 @@ class ChaosPolynomial:
 
     def __repr__(self) -> str:
         return f"ChaosPolynomial({format_polynomial(self)!r}, num_vars={self.num_vars})"
+
+
+def _sum(polys: Iterable[ChaosPolynomial], num_vars: int) -> ChaosPolynomial:
+    """Sum of polynomials, merging their terms in one dict pass."""
+    out: dict[tuple[int, ...], float] = {}
+    for P in polys:
+        for key, coeff in P.terms.items():
+            out[key] = out.get(key, 0.0) + coeff
+    return ChaosPolynomial(out, num_vars)
 
 
 def _coerce(value) -> ChaosPolynomial:
@@ -207,9 +206,10 @@ class HmuValuedPolynomial:
 
 
 def _double_factorial(p: int) -> float:
+    """p!! as a float; stops at inf, so a huge p takes a few hundred steps."""
     out = 1.0
-    while p > 1:
-        out *= p
+    while p > 1 and out < math.inf:
+        out *= min(p, sys.float_info.max)   # an int past it cannot become a float
         p -= 2
     return out
 
@@ -220,10 +220,7 @@ def expectation(P: ChaosPolynomial) -> float:
     for key, coeff in P.terms.items():
         if any(p % 2 for p in key):
             continue
-        moment = 1.0
-        for p in key:
-            moment *= _double_factorial(p - 1)
-        total += coeff * moment
+        total += coeff * math.prod(_double_factorial(p - 1) for p in key)
     return total
 
 
@@ -240,11 +237,8 @@ def directional_derivative(P: ChaosPolynomial, direction) -> ChaosPolynomial:
     beyond it differentiate nothing and are ignored.
     """
     coeffs = direction.coeffs if isinstance(direction, RkhsElement) else np.asarray(direction, dtype=float).ravel()
-    out = ChaosPolynomial.zero(P.num_vars)
-    for k, a in enumerate(coeffs[: P.num_vars]):
-        if a != 0.0:
-            out = out + float(a) * P.partial(k)
-    return out
+    return _sum((float(a) * P.partial(k) for k, a in enumerate(coeffs[: P.num_vars]) if a != 0.0),
+                P.num_vars)
 
 
 def inner_hmu(u: HmuValuedPolynomial, v: HmuValuedPolynomial) -> ChaosPolynomial:
@@ -253,10 +247,8 @@ def inner_hmu(u: HmuValuedPolynomial, v: HmuValuedPolynomial) -> ChaosPolynomial
         raise DimensionMismatchError(
             f"component counts differ: {len(u)} vs {len(v)}"
         )
-    out = ChaosPolynomial.zero()
-    for a, b in zip(u.components, v.components):
-        out = out + a * b
-    return out
+    return _sum((a * b for a, b in zip(u.components, v.components)),
+                max(u.num_vars, v.num_vars))
 
 
 def random_polynomial(
@@ -284,71 +276,15 @@ def random_polynomial(
 
 # -- textual polynomial format ------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<var>x\d+)"
-    r"|(?P<op>[*^+-]))"
+_NUMBER = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+
+#: the signs before a term, whitespace allowed between them
+_SIGNS = re.compile(r"(?:\s*[+-])*")
+
+#: one factor of a term, a number or x<k>[^<number>], and a '*' if another follows
+_FACTOR = re.compile(
+    rf"\s*(?:(?P<number>{_NUMBER})|x(?P<var>\d+)(?:\s*\^\s*(?P<power>{_NUMBER}))?)(?P<times>\s*\*)?"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:].strip()
-            if rest:
-                raise ValueError(f"cannot parse polynomial near {rest[:20]!r}")
-            break
-        if match.lastgroup == "number":
-            tokens.append(("num", float(match.group("number"))))
-        elif match.lastgroup == "var":
-            tokens.append(("var", int(match.group("var")[1:]) - 1))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    return tokens
-
-
-def _parse_term(tokens, i: int, text: str) -> tuple[ChaosPolynomial, int]:
-    """One product of factors starting at token i; returns (term, next index)."""
-    coeff = 1.0
-    exps: dict[int, int] = {}
-    expect_factor = True
-    while i < len(tokens):
-        kind, value = tokens[i]
-        if expect_factor:
-            if kind == "num":
-                coeff *= value
-            elif kind == "var":
-                index = value
-                if index < 0:
-                    raise ValueError(f"variables are 1-based in {text!r}")
-                power = 1
-                if i + 1 < len(tokens) and tokens[i + 1] == ("op", "^"):
-                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "num":
-                        raise ValueError(f"'^' needs an integer exponent in {text!r}")
-                    raw = tokens[i + 2][1]
-                    power = int(raw)
-                    if raw != power:
-                        raise ValueError(f"exponent must be an integer, got {raw!r}")
-                    i += 2
-                exps[index] = exps.get(index, 0) + power
-            else:
-                raise ValueError(f"expected a coefficient or variable in {text!r}")
-            expect_factor = False
-            i += 1
-        elif tokens[i] == ("op", "*"):
-            expect_factor = True
-            i += 1
-        else:
-            break
-    if expect_factor:
-        raise ValueError(f"dangling operator in {text!r}")
-    width = max(exps) + 1 if exps else 0
-    key = tuple(exps.get(k, 0) for k in range(width))
-    return ChaosPolynomial({key: coeff}, width), i
 
 
 def parse_polynomial(text: str, num_vars: int | None = None) -> ChaosPolynomial:
@@ -357,37 +293,63 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> ChaosPolynomial:
     Variables are x1..xm (1-based); terms are '*'-joined products of
     numeric coefficients and powers like ``x2^3``, combined with + and -.
     ``num_vars`` fixes the formal variable count (error if exceeded).
+
+    Raises
+    ------
+    ValueError
+        If the text is empty or does not follow the grammar, a variable
+        is x0, an exponent is not a nonnegative integer, or a coefficient
+        or exponent is not finite (``1e999*x1``, ``x1^1e400``).
+    DimensionMismatchError
+        If the polynomial uses more than ``num_vars`` variables.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    body = text.rstrip()
+    if not body:
         raise ValueError("empty polynomial text")
-    poly = ChaosPolynomial.zero()
-    i = 0
-    while True:
-        sign = 1.0
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ValueError(f"dangling operator at end of {text!r}")
-        term, i = _parse_term(tokens, i, text)
-        poly = poly + sign * term
-        if i >= len(tokens):
-            break
-        if tokens[i] not in (("op", "+"), ("op", "-")):
-            raise ValueError(f"expected '+' or '-' between terms in {text!r}")
-    if num_vars is not None:
-        if poly.num_vars > num_vars:
-            raise DimensionMismatchError(
-                f"polynomial uses {poly.num_vars} variables, limit is {num_vars}"
-            )
-        poly = ChaosPolynomial(poly.terms, num_vars)
-    return poly
+    terms: dict[tuple[int, ...], float] = {}
+    width = pos = 0
+    while pos < len(body):
+        signs = _SIGNS.match(body, pos)
+        if pos and not signs[0].strip():
+            raise ValueError(f"expected '+' or '-' before {body[pos:pos + 20]!r} in {text!r}")
+        pos = signs.end()
+        coeff = -1.0 if signs[0].count("-") % 2 else 1.0
+        exps: list[int] = []
+        while True:
+            factor = _FACTOR.match(body, pos)
+            if factor is None:
+                raise ValueError(f"expected a number or variable at {body[pos:pos + 20]!r} in {text!r}")
+            pos = factor.end()
+            if factor["number"]:
+                coeff *= float(factor["number"])
+            else:
+                index = int(factor["var"]) - 1
+                if index < 0:
+                    raise ValueError(f"variables are 1-based in {text!r}")
+                power = float(factor["power"] or 1)
+                if not power.is_integer():
+                    raise ValueError(f"exponent must be a finite integer, got "
+                                     f"{factor['power']!r} in {text!r}")
+                exps += [0] * (index + 1 - len(exps))
+                exps[index] += int(power)
+            if not factor["times"]:
+                break
+        width = max(width, len(exps))
+        key = _trim(exps)
+        # a key whose sum cancels is dropped, as by a run of additions, so a
+        # later term appends it again
+        terms[key] = terms.get(key, 0.0) + coeff
+        if not terms[key]:
+            del terms[key]
+    if not all(map(math.isfinite, terms.values())):
+        raise ValueError(f"non-finite coefficient in {text!r}")
+    if num_vars is not None and width > num_vars:
+        raise DimensionMismatchError(f"polynomial uses {width} variables, limit is {num_vars}")
+    return ChaosPolynomial(terms, width if num_vars is None else num_vars)
 
 
 def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
+    if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
     return format(value, ".12g")
 
@@ -400,19 +362,9 @@ def format_polynomial(P: ChaosPolynomial) -> str:
     parts = []
     for key in keys:
         coeff = P.terms[key]
-        factors = [
-            f"x{i + 1}" + (f"^{p}" if p > 1 else "")
-            for i, p in enumerate(key)
-            if p > 0
-        ]
-        mag = abs(coeff)
-        body = "*".join(factors)
-        if not factors:
-            chunk = _format_number(mag)
-        elif mag == 1.0:
-            chunk = body
-        else:
-            chunk = f"{_format_number(mag)}*{body}"
-        parts.append(("- " if coeff < 0 else "+ ") + chunk)
+        factors = [f"x{i + 1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(key) if p > 0]
+        if abs(coeff) != 1.0 or not factors:
+            factors.insert(0, _format_number(abs(coeff)))
+        parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -93,7 +94,7 @@ CONFIG_SCHEMA = {
                 "file": {"type": "string"},
             },
         },
-        "gauge": {"enum": ["symmetric_sqrt", "triangular", "rotated"]},
+        "gauge": {"enum": list(spectral.GAUGES)},
         "gauge_seed": {"type": "integer"},
         "drop_tol": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer"},
@@ -118,14 +119,8 @@ CONFIG_SCHEMA = {
                 "tolerances": {
                     "type": "object",
                     "additionalProperties": False,
-                    "properties": {
-                        "factorization": {"type": "number", "exclusiveMinimum": 0},
-                        "orthonormality": {"type": "number", "exclusiveMinimum": 0},
-                        "trace": {"type": "number", "exclusiveMinimum": 0},
-                        "reproducing": {"type": "number", "exclusiveMinimum": 0},
-                        "duality": {"type": "number", "exclusiveMinimum": 0},
-                        "isometry": {"type": "number", "exclusiveMinimum": 0},
-                    },
+                    "properties": {name: {"type": "number", "exclusiveMinimum": 0}
+                                   for name in verify.DEFAULT_TOLERANCES},
                 },
             },
         },
@@ -179,13 +174,21 @@ class DataError(Exception):
 # -- config plumbing ------------------------------------------------------
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _read_json(path, what: str):
+    """A JSON document; NaN, Infinity and numbers that overflow to inf are rejected."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError is one
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -282,7 +285,11 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_json(path: Path, payload: dict):
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
+    _write_atomic(path, text + "\n")
 
 
 def _write_csv(path: Path, matrix: np.ndarray, header: str):
@@ -439,7 +446,7 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
     if components is None:
         variance = element.norm_squared()
         xi = field.noise_matrix(n_draws, element.coeffs.size, seed)
-        draws = xi @ element.coeffs
+        draws = integrals.wiener_integral(element, xi)
         result = {
             "kind": "deterministic",
             "rkhs_norm_squared": variance,
@@ -459,7 +466,7 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
     else:
         delta = integrals.skorokhod_integral(components)
         mean = chaos.expectation(delta)
-        variance = chaos.expectation(delta * delta) - mean**2
+        variance = chaos.expectation(delta * delta) - mean * mean   # ** raises on overflow
         result = {
             "kind": "random",
             "polynomial": chaos.format_polynomial(delta),

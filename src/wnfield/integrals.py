@@ -20,7 +20,6 @@ from .chaos import (
     ChaosPolynomial,
     HmuValuedPolynomial,
     expectation,
-    inner_hmu,
     malliavin_derivative,
 )
 from .errors import DimensionMismatchError
@@ -47,20 +46,28 @@ def deterministic_integrand(f: RkhsElement) -> RandomIntegrand:
     )
 
 
-def wiener_integral(f: RkhsElement, xi) -> float:
+def wiener_integral(f: RkhsElement, xi) -> float | np.ndarray:
     """Integral of a deterministic integrand against noise xi: sum_k a_k xi_k.
 
     The coefficients against the RKHS basis are exactly the series
     weights, so across draws the value is centered Gaussian with variance
-    equal to the squared RKHS norm of f.
+    equal to the squared RKHS norm of f. A noise vector gives a float; an
+    (N, m) noise matrix, one draw per row, gives the N values.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the noise is not a vector or a matrix whose rows have one
+        entry per coefficient.
     """
     a = f.coeffs
-    xi = np.asarray(xi, dtype=float).ravel()
-    if a.shape != xi.shape:
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim not in (1, 2) or xi.shape[-1] != a.size:
         raise DimensionMismatchError(
-            f"integrand has {a.shape[0]} coefficients but noise has {xi.shape[0]}"
+            f"integrand has {a.size} coefficients but noise has shape {xi.shape}"
         )
-    return float(np.dot(a, xi))
+    values = xi @ a
+    return float(values) if xi.ndim == 1 else values
 
 
 def skorokhod_integral(u: RandomIntegrand) -> ChaosPolynomial:
@@ -69,11 +76,8 @@ def skorokhod_integral(u: RandomIntegrand) -> ChaosPolynomial:
     Always centered: taking F = 1 in the duality gives E[delta(u)] = 0.
     For constant components this reduces to the deterministic series.
     """
-    width = max(len(u), u.num_vars)
-    out = ChaosPolynomial.zero(width)
-    for k, P in enumerate(u.components):
-        out = out + P * ChaosPolynomial.variable(k) - P.partial(k)
-    return out
+    return sum((P * ChaosPolynomial.variable(k) - P.partial(k) for k, P in enumerate(u.components)),
+               ChaosPolynomial.zero(max(len(u), u.num_vars)))
 
 
 def duality_check(F: ChaosPolynomial, u: RandomIntegrand) -> float:
@@ -83,18 +87,9 @@ def duality_check(F: ChaosPolynomial, u: RandomIntegrand) -> float:
     the series form used by skorokhod_integral.
     """
     lhs = expectation(F * skorokhod_integral(u))
-    DF = malliavin_derivative(F)
-    width = max(len(DF.components), len(u.components))
-    rhs = expectation(inner_hmu(_pad(DF, width), _pad(u, width)))
+    # E[<DF, u>] = sum_k E[dF/dxi_k u_k]; components past the shorter side are zero
+    rhs = sum(expectation(a * b) for a, b in zip(malliavin_derivative(F).components, u.components))
     return abs(lhs - rhs)
-
-
-def _pad(v: HmuValuedPolynomial, width: int) -> HmuValuedPolynomial:
-    if len(v.components) == width:
-        return v
-    extra = width - len(v.components)
-    zero = ChaosPolynomial.zero(v.num_vars)
-    return HmuValuedPolynomial(v.components + (zero,) * extra)
 
 
 def transfer(u: RandomIntegrand, dec: MercerDecomposition) -> RandomIntegrand:

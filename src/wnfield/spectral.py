@@ -25,6 +25,7 @@ from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NotInRkhsError,
     NotPositiveSemidefiniteError,
     NumericError,
@@ -184,7 +185,7 @@ def decompose(
     drop_tol : float
         Eigenvalues <= drop_tol * lambda_1 are discarded into
         ``dropped_mass``; the default keeps the numerical rank stable
-        across platforms.
+        across platforms. Must be finite and >= 0.
 
     Raises
     ------
@@ -194,11 +195,14 @@ def decompose(
         If C has a non-finite entry (the first offending (i, j) is
         named), or if a LAPACK routine reports failure.
     InvalidParameterError
-        If C is not symmetric; the worst (i, j) is named.
+        If C is not symmetric (the worst (i, j) is named), or if
+        ``drop_tol`` is negative or not finite.
     NotPositiveSemidefiniteError
         If an eigenvalue falls below the round-off band; the worst
         offender is reported.
     """
+    if not 0.0 <= drop_tol < np.inf:   # false for NaN too
+        raise InvalidParameterError(f"drop_tol must be finite and >= 0, got {drop_tol!r}")
     C = np.asarray(C, dtype=float)
     n = space.size
     if C.shape != (n, n):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wnfield.chaos import (
     ChaosPolynomial,
@@ -214,9 +216,36 @@ def test_parse_num_vars_bound():
 
 
 def test_parse_errors():
-    for bad in ["", "x1 +", "*x1", "x0", "y1", "x1^2.5", "x1^-2", "2x1", "x1 x2"]:
+    for bad in ["", "x1 +", "*x1", "x0", "y1", "x1^2.5", "x1^-2", "2x1", "x1 x2",
+                "x1**2", "x1^2^3", "1e999*x1", "x1^1e400"]:
         with pytest.raises(ValueError):
             parse_polynomial(bad)
+
+
+def test_parse_grammar_table():
+    cases = {
+        "--x1": {(1,): 1.0},
+        "x1 +- x2": {(1,): 1.0, (0, 1): -1.0},
+        "x1*x1^2": {(3,): 1.0},
+        "x1^2.0": {(2,): 1.0},
+        "x1^1e1": {(10,): 1.0},
+        "x01": {(1,): 1.0},
+        ".5*x1": {(1,): 0.5},
+        "x1-x1": {},
+    }
+    for text, terms in cases.items():
+        assert terms_of(parse_polynomial(text)) == terms, text
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 5), st.integers(1, 8),
+       st.integers(-20, 20))
+def test_parse_inverts_format(seed, num_vars, max_degree, n_terms, decade):
+    P = random_polynomial(np.random.default_rng(seed), num_vars, max_degree, n_terms) * 10.0**decade
+    again = parse_polynomial(format_polynomial(P))
+    assert set(again.terms) == set(P.terms)
+    for key, coeff in P.terms.items():
+        assert again.terms[key] == pytest.approx(coeff, rel=1e-12, abs=0)
 
 
 def test_format_examples():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -271,6 +272,46 @@ def test_integrate_out_of_rkhs_exits_1(tmp_path, capsys):
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path),
                  "--integrand", str(integrand)]) == 1
     assert "residual" in capsys.readouterr().err
+
+
+def test_integrate_overflowing_moments_exit_1(tmp_path, capsys):
+    # the moments overflow to inf or nan (1e100*x1^101 already in mean^2);
+    # x1^1e20 must not take p / 2 steps in p!!
+    cfg = bm_config(tmp_path, n=8)
+    integrand = tmp_path / "u.json"
+    for text in ("x1^400", "x1^1e20", "1e100*x1^101"):
+        integrand.write_text(json.dumps({"components": [text]}))
+        out = tmp_path / text
+        start = time.perf_counter()
+        assert main(["integrate", "--config", cfg, "--out", str(out),
+                     "--integrand", str(integrand)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "integral.json").exists()
+
+
+def test_non_finite_json_exits_2(tmp_path, capsys):
+    cfg = bm_config(tmp_path, n=8, extra={"drop_tol": float("nan")})
+    assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.json" in capsys.readouterr().err
+    (tmp_path / "inf.json").write_text('{"space": {"type": "interval_grid", "n": 8}, '
+                                       '"kernel": {"name": "brownian_motion"}, "drop_tol": 1e999}')
+    assert main(["factorize", "--config", str(tmp_path / "inf.json"), "--out", str(tmp_path)]) == 2
+    assert "inf.json" in capsys.readouterr().err
+    integrand = tmp_path / "f.json"
+    integrand.write_text(json.dumps({"field_values": [float("nan")] + [0.0] * 7}))
+    assert main(["integrate", "--config", bm_config(tmp_path, n=8), "--out", str(tmp_path),
+                 "--integrand", str(integrand)]) == 2
+    assert "f.json" in capsys.readouterr().err
+
+
+def test_integrate_non_finite_coefficient_exits_2(tmp_path, capsys):
+    integrand = tmp_path / "u.json"
+    for text in ("1e999*x1", "x1^1e400"):
+        integrand.write_text(json.dumps({"components": [text]}))
+        assert main(["integrate", "--config", bm_config(tmp_path, n=8), "--out", str(tmp_path),
+                     "--integrand", str(integrand)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_tangent_command(tmp_path, capsys):

@@ -68,6 +68,16 @@ def test_wiener_integral_basis_element():
         wiener_integral(RkhsElement([1.0, 2.0]), xi)
 
 
+def test_wiener_integral_noise_matrix_rows():
+    xi = noise_matrix(50, 4, seed=9)
+    f = RkhsElement([0.5, -1.0, 2.0, 0.25])
+    values = wiener_integral(f, xi)
+    assert values.shape == (50,)
+    np.testing.assert_allclose(values, [wiener_integral(f, row) for row in xi], rtol=1e-14, atol=0)
+    with pytest.raises(DimensionMismatchError):
+        wiener_integral(RkhsElement([1.0, 2.0]), xi)
+
+
 def test_wiener_integral_linearity():
     rng = np.random.default_rng(4)
     xi = noise_matrix(1, 6, seed=8)[0]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wnfield.errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NotInRkhsError,
     NotPositiveSemidefiniteError,
     NumericError,
@@ -320,7 +321,15 @@ def test_drop_tolerance_accumulates_mass():
     C = np.diag([1.0, 1e-15])
     dec = decompose(C, sp, drop_tol=1e-12)
     assert dec.rank == 1
-    assert dec.dropped_mass == pytest.approx(1e-15, rel=1e-6)
+    assert dec.dropped_mass == pytest.approx(1e-15, abs=0)
+
+
+def test_decompose_rejects_bad_drop_tol():
+    # drop_tol=-1 would keep the zero eigenvalues, and nan or inf drop everything
+    C = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(InvalidParameterError, match="drop_tol"):
+            decompose(C, interval_grid(3), drop_tol=bad)
 
 
 def test_decomposition_is_deterministic():
