@@ -34,6 +34,7 @@ from .field import (
     covariance_standard_error,
     empirical_covariance,
     mollify_factor,
+    noise_blocks,
     noise_matrix,
     sample,
     tangent_gram,

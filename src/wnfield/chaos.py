@@ -326,6 +326,9 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> ChaosPolynomial:
                 index = int(factor["var"]) - 1
                 if index < 0:
                     raise ValueError(f"variables are 1-based in {text!r}")
+                if num_vars is not None and index >= num_vars:   # before padding to it
+                    raise DimensionMismatchError(
+                        f"variable x{index + 1} in {text!r} exceeds the limit of {num_vars} variables")
                 power = float(factor["power"] or 1)
                 if not power.is_integer():
                     raise ValueError(f"exponent must be a finite integer, got "
@@ -343,8 +346,6 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> ChaosPolynomial:
             del terms[key]
     if not all(map(math.isfinite, terms.values())):
         raise ValueError(f"non-finite coefficient in {text!r}")
-    if num_vars is not None and width > num_vars:
-        raise DimensionMismatchError(f"polynomial uses {width} variables, limit is {num_vars}")
     return ChaosPolynomial(terms, width if num_vars is None else num_vars)
 
 

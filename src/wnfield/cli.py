@@ -19,7 +19,6 @@ the sidecars; files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -202,6 +201,10 @@ def _validate(document, schema: dict, what: str):
 def load_config(path: str) -> dict:
     config = _read_json(path, "config")
     _validate(config, CONFIG_SCHEMA, "config")
+    try:
+        float(config.get("drop_tol", 0.0))
+    except OverflowError as exc:   # JSON integers have no range
+        raise UsageError("config key drop_tol is not a finite number") from exc
     return {**CONFIG_DEFAULTS, **config}
 
 
@@ -272,11 +275,13 @@ def _apply_overrides(config: dict, args) -> dict:
 # -- output plumbing ------------------------------------------------------
 
 
-def _write_atomic(path: Path, text: str):
+def _write_atomic(path: Path, write):
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it
+    over ``path``; on any error the temp file is removed."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -285,18 +290,19 @@ def _write_atomic(path: Path, text: str):
 
 
 def _write_json(path: Path, payload: dict):
+    def write(fh):
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        _write_atomic(path, write)
     except ValueError as exc:
         raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
-    _write_atomic(path, text + "\n")
 
 
 def _write_csv(path: Path, matrix: np.ndarray, header: str):
-    buf = io.StringIO()
-    np.savetxt(buf, np.atleast_2d(matrix), delimiter=",", fmt="%.15g",
-               header=header, comments="")
-    _write_atomic(path, buf.getvalue())
+    _write_atomic(path, lambda fh: np.savetxt(fh, np.atleast_2d(matrix), delimiter=",",
+                                              fmt="%.15g", header=header, comments=""))
 
 
 # -- subcommands ----------------------------------------------------------
@@ -427,7 +433,10 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
     else:
         texts = spec["components"]
         try:
-            polys = [chaos.parse_polynomial(t) for t in texts]
+            polys = [chaos.parse_polynomial(t, num_vars=dec.rank) for t in texts]
+        except DimensionMismatchError as exc:   # a ValueError too
+            raise DataError(f"integrand polynomial has more variables than the "
+                            f"decomposition rank {dec.rank}: {exc}") from exc
         except ValueError as exc:
             raise UsageError(f"bad integrand polynomial: {exc}") from exc
         if len(polys) > dec.rank:

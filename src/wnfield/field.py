@@ -5,11 +5,16 @@ columns of the field's white-noise factor and xi_k are i.i.d. standard
 normals. Noise is addressed positionally in a counter-based stream keyed by
 the seed: draw r always owns the same counter-block range, so batches are
 reproducible, order independent under parallel generation, and truncations
-at the same seed share their noise with the full series.
+at the same seed share their noise with the full series. Noise is filled
+by row ranges on every CPU the process may use and consumed in row blocks
+(``noise_blocks``), so a batch never needs more than one block of noise.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,7 @@ __all__ = [
     "SampleBatch",
     "build_field",
     "noise_matrix",
+    "noise_blocks",
     "sample",
     "empirical_covariance",
     "covariance_standard_error",
@@ -81,6 +87,53 @@ def build_field(
     return GaussianField(space=space, dec=dec, factor=h)
 
 
+#: generated variates per row block that ``noise_blocks`` yields (16 MB)
+_BLOCK_VARIATES = 2**21
+#: fewest variates worth a worker thread, and the most one worker buffers
+#: at a time when the stride leaves uniforms unused
+_CHUNK_VARIATES = 2**16
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _cpu_count()
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="wnfield-noise")
+
+
+if hasattr(os, "register_at_fork"):   # POSIX: a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _row_width(stride: int) -> int:
+    """Uniforms a stream row owns: one Philox counter block yields 4."""
+    return 4 * max(1, -(-stride // 4))
+
+
+def _fill_rows(out: np.ndarray, seed: int, row0: int, width: int):
+    """Write stream rows row0, row0 + 1, ... (first ``out.shape[1]`` variates
+    of each) into ``out`` in place. Philox and ``ndtri`` release the GIL."""
+    rows, m = out.shape
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(row0 * width // 4)
+    gen = np.random.Generator(bitgen)
+    step = rows if m == width else max(1, _CHUNK_VARIATES // width)
+    for r0 in range(0, rows, step):
+        dest = out[r0:r0 + step]
+        u = dest if m == width else np.empty((len(dest), width))
+        gen.random(out=u)
+        np.maximum(u, 2.0**-53, out=u)   # ndtri(0) = -inf; probability 2^-53 per variate
+        ndtri(u[:, :m], out=dest)
+
+
 def noise_matrix(
     n_draws: int,
     m: int,
@@ -93,7 +146,9 @@ def noise_matrix(
     Each row owns ceil(stride / 4) Philox counter blocks and exposes the
     first ``m`` variates, transformed by the normal inverse CDF (fixed
     consumption of one stream position per variate keeps rows addressable:
-    any row range can be regenerated independently).
+    any row range can be regenerated independently). A large call is split
+    into one row range per CPU the process may use, each filled from its
+    own stream position, so the result is the same for any number of CPUs.
     """
     if stride is None:
         stride = m
@@ -101,14 +156,26 @@ def noise_matrix(
         raise ValueError(f"width {m} exceeds stride {stride}")
     if n_draws < 1:
         raise ValueError("need at least one draw")
-    blocks_per_row = max(1, -(-stride // 4))
-    # one Philox counter block yields 4 doubles
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(row_start * blocks_per_row)
-    u = np.random.Generator(bitgen).random(n_draws * blocks_per_row * 4)
-    u = u.reshape(n_draws, blocks_per_row * 4)[:, :m]
-    # guard ndtri against u == 0 (probability 2^-53 per variate)
-    return ndtri(np.maximum(u, 2.0**-53))
+    width = _row_width(stride)
+    out = np.empty((n_draws, m))
+    parts = min(_WORKERS, n_draws * width // _CHUNK_VARIATES)
+    if parts <= 1:
+        _fill_rows(out, seed, row_start, width)
+    else:
+        bounds = [n_draws * i // parts for i in range(parts + 1)]
+        list(_pool().map(lambda a, b: _fill_rows(out[a:b], seed, row_start + a, width),
+                         bounds[:-1], bounds[1:]))
+    return out
+
+
+def noise_blocks(n_draws: int, m: int, seed: int, stride: int | None = None):
+    """Rows 0..n_draws-1 of ``noise_matrix(n_draws, m, seed, stride=stride)``
+    as consecutive ``(row_start, block)`` pairs of about 2^21 generated
+    variates each. A consumer that drops each block before the next is
+    generated (``del``) holds one block at a time."""
+    rows = max(1, _BLOCK_VARIATES // _row_width(m if stride is None else stride))
+    for r0 in range(0, n_draws, rows):
+        yield r0, noise_matrix(min(rows, n_draws - r0), m, seed, row_start=r0, stride=stride)
 
 
 def sample(
@@ -140,11 +207,13 @@ def sample(
         raise ValueError(f"truncation m={m} out of range [0, {rank}]")
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    if rank == 0 or m == 0:
-        draws = np.zeros((n_draws, field.space.size))
-    else:
-        xi = noise_matrix(n_draws, m, seed, stride=rank)
-        draws = xi @ field.factor.factor[:, :m].T
+    if m == 0:   # rank 0 included
+        return SampleBatch(draws=np.zeros((n_draws, field.space.size)), seed=seed, truncation=m)
+    draws = np.empty((n_draws, field.space.size))
+    F = field.factor.factor[:, :m]
+    for r0, xi in noise_blocks(n_draws, m, seed, stride=rank):
+        np.matmul(xi, F.T, out=draws[r0:r0 + len(xi)])
+        del xi   # before the next block is drawn
     return SampleBatch(draws=draws, seed=seed, truncation=m)
 
 

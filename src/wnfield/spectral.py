@@ -201,8 +201,13 @@ def decompose(
         If an eigenvalue falls below the round-off band; the worst
         offender is reported.
     """
-    if not 0.0 <= drop_tol < np.inf:   # false for NaN too
+    try:
+        valid = 0.0 <= float(drop_tol) < np.inf   # false for NaN too
+    except OverflowError:   # an int past the float range
+        valid = False
+    if not valid:
         raise InvalidParameterError(f"drop_tol must be finite and >= 0, got {drop_tol!r}")
+    drop_tol = float(drop_tol)
     C = np.asarray(C, dtype=float)
     n = space.size
     if C.shape != (n, n):

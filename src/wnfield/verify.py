@@ -83,9 +83,19 @@ def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
     ``field.sample`` gives at this seed, and the truncation band, on the
     same noise. Full minus truncated draws is the tail of the canonical
     factor A: other gauges mix the noise coordinates, so their column tail
-    is not the eigen-series tail that ``truncation_error`` measures."""
-    xi = field.noise_matrix(n_draws, dec.rank, seed)
-    emp = field.empirical_covariance(field.SampleBatch(xi @ factor.factor.T, seed, dec.rank))
+    is not the eigen-series tail that ``truncation_error`` measures.
+
+    Draws are X = xi F^T, so every moment needed is a function of the
+    noise Gram matrix G = xi^T xi, summed over noise blocks: X^T X =
+    F G F^T, and the mean squared norm of the tail draws xi_t A_t^T is
+    sum((A_t^T W A_t) * G_t) / N. No draw and no full noise matrix is held.
+    """
+    G = np.zeros((dec.rank, dec.rank))
+    for _, xi in field.noise_blocks(n_draws, dec.rank, seed):
+        G += xi.T @ xi
+        del xi   # before the next block is drawn
+    F = factor.factor
+    emp = (F @ G @ F.T) / n_draws
     se = field.covariance_standard_error(C, n_draws)
     band = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
     checks = [check("empirical_covariance_band", band, band_se,
@@ -93,11 +103,12 @@ def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
     if dec.rank >= 2:
         worst = 0.0
         for m in {1, dec.rank // 2}:
-            tail = xi[:, m:] @ canonical.factor[:, m:].T
-            sq = np.square(tail, out=tail) @ dec.space.weights
+            tail = canonical.factor[:, m:]
+            gram = tail.T @ (tail * dec.space.weights[:, None])
+            mean_sq = float(np.sum(gram * G[m:, m:])) / n_draws
             target = field.truncation_error(dec, m)
             tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
-            worst = max(worst, abs(float(sq.mean()) - target) / max(tail_se, 1e-300))
+            worst = max(worst, abs(mean_sq - target) / max(tail_se, 1e-300))
         checks.append(check("truncation_band", worst, band_se,
                             "empirical L2 truncation error in standard errors"))
     return checks

@@ -213,6 +213,9 @@ def test_parse_num_vars_bound():
     assert P.num_vars == 4
     with pytest.raises(DimensionMismatchError):
         parse_polynomial("x5", num_vars=4)
+    # checked before the exponent list is padded to the index
+    with pytest.raises(DimensionMismatchError, match="x99999999"):
+        parse_polynomial("x1 + 2*x99999999^2", num_vars=4)
 
 
 def test_parse_errors():

@@ -1,11 +1,13 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wnfield import field, spectral
+from wnfield import cli, field, spectral, verify
 from wnfield.cli import main
+from wnfield.errors import NumericError
 from wnfield.kernels import assemble, builtin_kernel
 from wnfield.spaces import interval_grid
 
@@ -144,26 +146,63 @@ def test_verify_default_brownian_all_pass(tmp_path, capsys, gauge):
 
 
 def test_verify_draws_noise_once_and_factors_each_gauge_once(tmp_path, monkeypatch):
-    noise_calls, gauges = [], []
+    noise_rows, gauges = [], []
     noise_matrix, factorize = field.noise_matrix, spectral.factorize
 
-    def counting_noise_matrix(*args, **kwargs):
-        noise_calls.append(args)
-        return noise_matrix(*args, **kwargs)
+    def counting_noise_matrix(n_draws, m, seed, row_start=0, stride=None):
+        noise_rows.append((row_start, row_start + n_draws))
+        return noise_matrix(n_draws, m, seed, row_start, stride)
 
     def counting_factorize(dec, gauge="symmetric_sqrt", seed=0):
         gauges.append(gauge)
         return factorize(dec, gauge, seed)
 
     monkeypatch.setattr(field, "noise_matrix", counting_noise_matrix)
+    monkeypatch.setattr(field, "_BLOCK_VARIATES", 300 * 8)   # rank 8: blocks of 300 rows
     monkeypatch.setattr(spectral, "factorize", counting_factorize)
     cfg = bm_config(tmp_path, n=8, extra={
         "gauge": "rotated",
         "verify": {"n_draws": 2000, "duality_pairs": 3},
     })
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert len(noise_calls) == 1
+    # the requested row ranges tile [0, 2000) exactly once
+    assert len(noise_rows) == 7
+    assert sorted(noise_rows) == [(r, min(r + 300, 2000)) for r in range(0, 2000, 300)]
     assert sorted(gauges) == sorted(spectral.GAUGES)
+
+
+def test_verify_memory_stays_below_one_draw_matrix():
+    # numpy reports its buffers to tracemalloc; the battery holds one noise
+    # block and n x n moments, never the 20000 x 128 noise or draw matrix
+    n, n_draws = 128, 20000
+    space = interval_grid(n)
+    C = assemble(builtin_kernel("brownian_motion"), space)
+    dec = spectral.decompose(C, space)
+    tracemalloc.start()
+    try:
+        checks = verify.battery(C, dec, n_draws=n_draws, duality_pairs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for c in checks)
+    assert peak < n_draws * n * 8
+
+
+def test_write_json_streams_and_leaves_nothing_on_failure(tmp_path):
+    payload = {"matrix": np.random.default_rng(1).standard_normal((512, 512)).tolist()}
+    expected = json.dumps(payload, indent=2) + "\n"
+    tracemalloc.start()
+    try:
+        cli._write_json(tmp_path / "out.json", payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(expected)
+    assert (tmp_path / "out.json").read_text() == expected
+    payload["matrix"][300][7] = float("nan")
+    with pytest.raises(NumericError, match="non-finite"):
+        cli._write_json(tmp_path / "bad.json", payload)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_verify_zero_covariance_all_pass(tmp_path):
@@ -288,6 +327,33 @@ def test_integrate_overflowing_moments_exit_1(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "integral.json").exists()
+
+
+def test_integrate_variable_beyond_rank_exits_1(tmp_path, capsys):
+    # x99999999 would pad an exponent list to 10^8 entries before the check
+    cfg = bm_config(tmp_path, n=8)
+    integrand = tmp_path / "u.json"
+    for text in ("x300000", "x99999999"):
+        integrand.write_text(json.dumps({"components": [text]}))
+        out = tmp_path / text
+        start = time.perf_counter()
+        assert main(["integrate", "--config", cfg, "--out", str(out),
+                     "--integrand", str(integrand)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert text in err and "rank 8" in err
+        assert not (out / "integral.json").exists()
+
+
+def test_huge_integer_drop_tol_exits_2(tmp_path, capsys):
+    # JSON integers have no range; float(10**400) overflows
+    (tmp_path / "big.json").write_text(
+        '{"space": {"type": "interval_grid", "n": 8}, "kernel": {"name": "brownian_motion"}, '
+        '"drop_tol": 1' + "0" * 400 + "}")
+    assert main(["factorize", "--config", str(tmp_path / "big.json"),
+                 "--out", str(tmp_path)]) == 2
+    assert "drop_tol" in capsys.readouterr().err
+    assert not (tmp_path / "decomposition.json").exists()
 
 
 def test_non_finite_json_exits_2(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wnfield import field
 from wnfield.errors import DimensionMismatchError, InsufficientSamplesError
 from wnfield.field import (
     GaussianField,
@@ -8,6 +11,7 @@ from wnfield.field import (
     covariance_standard_error,
     empirical_covariance,
     mollify_factor,
+    noise_blocks,
     noise_matrix,
     sample,
     tangent_gram,
@@ -172,6 +176,40 @@ def test_noise_rows_are_order_independent():
     A = noise_matrix(12, 5, seed=42)
     B = noise_matrix(4, 5, seed=42, row_start=6)
     assert np.array_equal(B, A[6:10])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 200), st.integers(1, 40), st.data(), st.integers(0, 10**6),
+       st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 600), st.integers(1, 900))
+def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed,
+                                          workers, chunk, block):
+    m = data.draw(st.integers(0, stride))
+    with pytest.MonkeyPatch.context() as mp:
+        # one piece on one thread: the reference
+        mp.setattr(field, "_WORKERS", 1)
+        mp.setattr(field, "_CHUNK_VARIATES", 2**62)
+        ref = noise_matrix(n_draws, m, seed, row_start, stride)
+        ref0 = noise_matrix(n_draws, m, seed, 0, stride)
+        mp.setattr(field, "_WORKERS", workers)
+        mp.setattr(field, "_CHUNK_VARIATES", chunk)
+        mp.setattr(field, "_BLOCK_VARIATES", block)
+        assert np.array_equal(noise_matrix(n_draws, m, seed, row_start, stride), ref)
+        starts, rows = zip(*noise_blocks(n_draws, m, seed, stride))
+    assert starts == tuple(np.cumsum([0, *map(len, rows[:-1])]))
+    assert np.array_equal(np.vstack(rows), ref0)
+
+
+def test_sample_in_ragged_blocks(monkeypatch):
+    fld = build_field(builtin_kernel("fbm", {"hurst": 0.3}), interval_grid(24))
+    rank = fld.dec.rank
+    monkeypatch.setattr(field, "_BLOCK_VARIATES", 7 * 24)   # 7 rows per block: 50 = 7*7 + 1
+    monkeypatch.setattr(field, "_WORKERS", 3)
+    monkeypatch.setattr(field, "_CHUNK_VARIATES", 16)
+    for m in (rank, rank // 2):
+        draws = sample(fld, 50, m, seed=4).draws
+        assert np.array_equal(sample(fld, 50, m, seed=4).draws, draws)
+        series = noise_matrix(50, m, 4, stride=rank) @ fld.factor.factor[:, :m].T
+        assert np.max(np.abs(draws - series)) <= 1e-12 * np.max(np.abs(series))
 
 
 def test_mollify_identity_below_cell_width():

@@ -325,9 +325,10 @@ def test_drop_tolerance_accumulates_mass():
 
 
 def test_decompose_rejects_bad_drop_tol():
-    # drop_tol=-1 would keep the zero eigenvalues, and nan or inf drop everything
+    # drop_tol=-1 would keep the zero eigenvalues, nan or inf drop everything,
+    # and an int past the float range overflowed in drop_tol * lambda_1
     C = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    for bad in (np.nan, np.inf, -1.0):
+    for bad in (np.nan, np.inf, -1.0, 10**400):
         with pytest.raises(InvalidParameterError, match="drop_tol"):
             decompose(C, interval_grid(3), drop_tol=bad)
 
