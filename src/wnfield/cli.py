@@ -22,8 +22,8 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -249,6 +249,13 @@ def assemble_and_decompose(config: dict, base_dir: Path):
     return space, C, spectral.decompose(C, space, drop_tol=config["drop_tol"])
 
 
+def _build_field(config: dict, base_dir: Path) -> field.GaussianField:
+    """The config's field under its gauge."""
+    return field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
+                             gauge=config["gauge"], drop_tol=config["drop_tol"],
+                             gauge_seed=config["gauge_seed"])
+
+
 def _apply_overrides(config: dict, args) -> dict:
     """Command-line overrides, applied to the fresh dict load_config returns."""
     if args.seed is not None:
@@ -277,8 +284,11 @@ def _apply_overrides(config: dict, args) -> dict:
 
 def _write_atomic(path: Path, write):
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it
-    over ``path``; on any error the temp file is removed."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    over ``path``; on any error the temp file is removed. The temp file is
+    created with mode 0666 less the umask, as ``open`` would create
+    ``path``, and the rename keeps that mode."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             write(fh)
@@ -300,9 +310,31 @@ def _write_json(path: Path, payload: dict):
         raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
 
 
-def _write_csv(path: Path, matrix: np.ndarray, header: str):
-    _write_atomic(path, lambda fh: np.savetxt(fh, np.atleast_2d(matrix), delimiter=",",
-                                              fmt="%.15g", header=header, comments=""))
+def _write_csv(path: Path, blocks, header: str):
+    """The rows of each 2-D array in ``blocks``, in order, under ``header``
+    (no header line when it is empty), as ``np.savetxt`` formats them."""
+    def write(fh):
+        if header:
+            fh.write(header + "\n")
+        for block in blocks:
+            np.savetxt(fh, np.atleast_2d(block), delimiter=",", fmt="%.15g")
+
+    _write_atomic(path, write)
+
+
+#: values of the long table that ``_long_table`` builds at a time
+_LONG_BLOCK_VALUES = 2**14
+
+
+def _long_table(draws: np.ndarray):
+    """The (draw, point_index, value) table of ``draws``, one row per value,
+    a block of draws at a time, so the whole table is never held."""
+    rows, cols = draws.shape
+    step = max(1, _LONG_BLOCK_VALUES // cols)
+    for r0 in range(0, rows, step):
+        block = draws[r0:r0 + step]
+        yield np.column_stack([np.repeat(np.arange(r0, r0 + len(block)), cols),
+                               np.tile(np.arange(cols), len(block)), block.ravel()])
 
 
 # -- subcommands ----------------------------------------------------------
@@ -318,9 +350,10 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
         "rank": dec.rank,
         "dropped_mass": dec.dropped_mass,
         "clamped_mass": dec.clamped_mass,
+        "tail_bound": dec.tail_bound,
     })
     header = ",".join(f"k{j + 1}" for j in range(dec.rank))
-    _write_csv(out_dir / "factor.csv", h.factor, header)
+    _write_csv(out_dir / "factor.csv", [h.factor], header)
     print(f"rank: {dec.rank}")
     print(f"trace: {trace:.12g}")
     print(f"dropped_mass: {dec.dropped_mass:.12g}")
@@ -330,9 +363,7 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
 
 
 def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
-    fld = field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
-                            gauge=config["gauge"], drop_tol=config["drop_tol"],
-                            gauge_seed=config["gauge_seed"])
+    fld = _build_field(config, base_dir)
     options = config.get("sample", {})
     n_draws = options.get("n_draws", 100)
     seed = config["seed"]
@@ -343,13 +374,9 @@ def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
     fmt = options.get("format", "dense")
     if fmt == "dense":
         header = ",".join(f"p{i + 1}" for i in range(fld.space.size))
-        _write_csv(out_dir / "samples.csv", batch.draws, header)
+        _write_csv(out_dir / "samples.csv", [batch.draws], header)
     else:
-        rows, cols = batch.draws.shape
-        draw_idx = np.repeat(np.arange(rows), cols)
-        point_idx = np.tile(np.arange(cols), rows)
-        long = np.column_stack([draw_idx, point_idx, batch.draws.ravel()])
-        _write_csv(out_dir / "samples.csv", long, "draw,point_index,value")
+        _write_csv(out_dir / "samples.csv", _long_table(batch.draws), "draw,point_index,value")
     _write_json(out_dir / "samples_meta.json", {
         "command": "sample",
         "seed": seed,
@@ -413,10 +440,7 @@ def _load_integrand(config: dict, args) -> dict:
 
 def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
     spec = _load_integrand(config, args)
-    fld = field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
-                            gauge=config["gauge"], drop_tol=config["drop_tol"],
-                            gauge_seed=config["gauge_seed"])
-    dec = fld.dec
+    dec = _build_field(config, base_dir).dec
     seed = config["seed"]
     n_draws = config.get("integrate", {}).get("n_draws", 10000)
 
@@ -454,8 +478,10 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
 
     if components is None:
         variance = element.norm_squared()
-        xi = field.noise_matrix(n_draws, element.coeffs.size, seed)
-        draws = integrals.wiener_integral(element, xi)
+        draws = np.empty(n_draws)
+        for r0, xi in field.noise_blocks(n_draws, element.coeffs.size, seed):
+            draws[r0:r0 + len(xi)] = integrals.wiener_integral(element, xi)
+            del xi   # before the next block is drawn
         result = {
             "kind": "deterministic",
             "rkhs_norm_squared": variance,
@@ -494,9 +520,7 @@ def cmd_tangent(config: dict, out_dir: Path, base_dir: Path) -> int:
     options = config.get("tangent")
     if not options:
         raise UsageError("tangent command needs a 'tangent' section in the config")
-    fld = field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
-                            gauge=config["gauge"], drop_tol=config["drop_tol"],
-                            gauge_seed=config["gauge_seed"])
+    fld = _build_field(config, base_dir)
     try:
         gram = field.tangent_gram(
             fld, options["t_index"], options["offsets"], options["r"]

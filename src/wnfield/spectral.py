@@ -17,11 +17,12 @@ evaluation under the coefficient inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     DimensionMismatchError,
@@ -69,7 +70,16 @@ class MercerDecomposition:
     sorted descending and strictly above the drop threshold;
     ``dropped_mass`` is the total eigenvalue mass discarded (tiny negatives
     clamped to zero first) and ``clamped_mass`` the total |lambda| of the
-    negative eigenvalues clamped to zero.
+    negative eigenvalues clamped to zero, so that the operator trace is
+    sum(eigenvalues) + dropped_mass - clamped_mass.
+
+    ``tail_bound`` is 0.0 when the whole spectrum was computed. When the
+    eigenpairs come from a randomized sketch it is the certified residual
+    ||S - V diag(eigenvalues of the sketch) V^T||_F of the whitened operator
+    S, at most min(drop_tol, 1e-10) * lambda_1: every eigenvalue the sketch
+    did not resolve lies within +-tail_bound. There ``clamped_mass`` counts
+    the negative Ritz values of the sketch, and ``dropped_mass`` is the
+    exact trace minus the kept mass plus ``clamped_mass``.
     """
 
     eigenvalues: np.ndarray
@@ -78,6 +88,7 @@ class MercerDecomposition:
     dropped_mass: float
     clamped_mass: float
     space: DiscreteMeasureSpace
+    tail_bound: float = 0.0
 
     def reconstruction(self) -> np.ndarray:
         """Rank-m covariance rebuild sum_k lambda_k phi_k phi_k^T."""
@@ -131,7 +142,7 @@ def _sign_fix(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _order_degenerate_clusters(lam: np.ndarray, V: np.ndarray, scale: float):
+def _order_degenerate_clusters(lam: np.ndarray, V: np.ndarray):
     """Stable order inside numerically equal eigenvalue clusters.
 
     Ties are broken by descending lexicographic comparison of the
@@ -140,7 +151,7 @@ def _order_degenerate_clusters(lam: np.ndarray, V: np.ndarray, scale: float):
     """
     if lam.size < 2:
         return lam, V
-    tol = DEGENERACY_TOL * max(scale, 1e-300)
+    tol = DEGENERACY_TOL * max(lam[0], 1e-300)
     order = np.arange(lam.size)
     start = 0
     for end in range(1, lam.size + 1):
@@ -161,6 +172,149 @@ def _lapack(routine: str, *args, **kwargs):
     return out
 
 
+def _clamp_and_keep(lam: np.ndarray, drop_tol: float):
+    """The PSD check, the clamp and the drop rule on descending eigenvalues.
+
+    Returns (clamped eigenvalues, keep mask, clamped_mass); an eigenvalue
+    below -NEGATIVE_EIGENVALUE_BAND * lambda_1 raises.
+    """
+    lam_max = float(lam[0])
+    neg_band = NEGATIVE_EIGENVALUE_BAND * max(lam_max, 0.0)
+    worst = float(lam[-1])
+    if worst < -neg_band:
+        raise NotPositiveSemidefiniteError(
+            f"covariance operator is not positive semidefinite: eigenvalue "
+            f"{worst:.6e} below tolerance {-neg_band:.6e}",
+            worst_eigenvalue=worst,
+        )
+    clamped_mass = float(np.abs(lam[lam < 0.0]).sum())
+    lam = np.maximum(lam, 0.0)
+    keep = lam > drop_tol * lam_max if lam_max > 0.0 else np.zeros(lam.size, dtype=bool)
+    return lam, keep, clamped_mass
+
+
+def _dense_pairs(S: np.ndarray, drop_tol: float):
+    """Kept eigenpairs of S from the whole spectrum: one Householder
+    reduction to tridiagonal form, every eigenvalue by divide and conquer
+    (as in LAPACK ``syevd``), and a back-transform of the kept vectors only.
+    Overwrites S. The tail bound is 0.0: no eigenvalue is left unresolved."""
+    n = S.shape[0]
+    # S = Q T Q^T with T tridiagonal; LAPACK reads the lower triangle of the
+    # Fortran-ordered S.T (the upper triangle of S) and overwrites it with
+    # the Householder reflectors that make up Q
+    (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
+    refl, d, e, tau = _lapack("dsytrd", S.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    # dstevd needs a non-empty off-diagonal even when n == 1
+    lam, W = _lapack("dstevd", d, e if n > 1 else np.zeros(1), compute_v=1)
+    lam, W = lam[::-1], W[:, ::-1]
+    lam, keep, clamped_mass = _clamp_and_keep(lam, drop_tol)
+    dropped_mass = float(lam[~keep].sum())
+    V_kept = W[:, keep]
+    if n > 1:
+        # Q = diag(1, Q') with Q' the product of the n - 1 reflectors
+        # (LAPACK dormtr, uplo 'L'), applied to the kept columns only
+        reflectors = refl[1:, :-1]
+        _, work = _lapack("dormqr", "L", "N", reflectors, tau, V_kept[1:], -1)
+        V_kept[1:] = _lapack("dormqr", "L", "N", reflectors, tau, V_kept[1:],
+                             int(work[0]))[0]
+    return lam[keep], V_kept, dropped_mass, clamped_mass, 0.0
+
+
+#: smallest n for which ``decompose`` tries the sketch: below it the dense
+#: path is as fast (both about 5 ms at n = 256 on a rank-29 operator)
+_SKETCH_MIN_N = 512
+#: columns of the probe that reads how fast the spectrum decays
+_PROBE_COLUMNS = 16
+#: columns the sketch takes past the rank the probe predicts
+_OVERSAMPLE = 8
+#: the sketch is at most n // _SKETCH_MAX_FRACTION columns wide; a wider
+#: one costs about as much as the dense reduction
+_SKETCH_MAX_FRACTION = 8
+#: subspace iterations of the sketch (the probe does none)
+_POWER_ITERATIONS = 1
+#: entries of the residual the certificate forms at a time
+_RESIDUAL_BLOCK = 2**18
+
+
+def _ritz_pairs(S: np.ndarray, width: int, power_iterations: int):
+    """Ritz pairs of S, descending, on the range of S^(q+1) Omega, with
+    Omega an n x width Gaussian test matrix from a fixed-key stream (Halko,
+    Martinsson & Tropp, SIAM Rev. 2011, algorithms 4.3 and 4.4).
+
+    Every product goes through scipy's BLAS, the library the dense path's
+    LAPACK calls use: numpy may link a second BLAS whose idle threads keep
+    spinning and slow the next LAPACK call when the sketch is rejected.
+    S enters as op(S.T) with trans_a, so its C-ordered buffer is not copied.
+    """
+    gen = np.random.Generator(np.random.Philox(key=0))
+    Y = blas.dgemm(1.0, S.T, gen.standard_normal((width, S.shape[0])).T, trans_a=1)
+    Q = scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    for _ in range(power_iterations):
+        Y = blas.dgemm(1.0, S.T, Q, trans_a=1)
+        Q = scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    B = blas.dgemm(1.0, Q, blas.dgemm(1.0, S.T, Q, trans_a=1), trans_a=1)
+    theta, U = scipy.linalg.eigh(B, overwrite_a=True, check_finite=False)
+    return theta[::-1], blas.dgemm(1.0, Q, U[:, ::-1])
+
+
+def _sketch_width(theta: np.ndarray, drop_tol: float) -> int | None:
+    """Sketch columns for the probe's Ritz values ``theta``, or None when
+    the spectrum is not seen to fall below drop_tol * theta_1 soon."""
+    if not theta[0] > 0.0:
+        return None
+    cut = drop_tol * theta[0]
+    below = np.flatnonzero(theta <= cut)
+    if below.size:
+        return int(below[0]) + _OVERSAMPLE
+    quarter = theta.size // 4
+    t1, t2, t3 = theta[quarter - 1], theta[2 * quarter - 1], theta[3 * quarter - 1]
+    early, late = math.log(t1 / t2), math.log(t2 / t3)
+    # algebraic decay (rough kernels) slows down and a flat spectrum does
+    # not decay; at a decay that speeds up (smooth kernels), extrapolating
+    # the late rate geometrically overestimates the rank
+    if not late > early:
+        return None
+    return 3 * quarter + math.ceil(quarter * math.log(t3 / cut) / late) + _OVERSAMPLE
+
+
+def _residual_norm(S: np.ndarray, theta: np.ndarray, V: np.ndarray) -> float:
+    """||S - V diag(theta) V^T||_F, formed a block of rows at a time."""
+    n = S.shape[0]
+    rows = max(1, _RESIDUAL_BLOCK // n)
+    W = V * theta
+    total = 0.0
+    for r0 in range(0, n, rows):
+        # (V W[r0:r1]^T)^T = W[r0:r1] V^T, C-ordered like S[r0:r1]
+        R = blas.dgemm(1.0, V, W[r0:r0 + rows], trans_b=1).T
+        np.subtract(S[r0:r0 + rows], R, out=R)
+        total += float(np.einsum("ij,ij->", R, R))
+    return math.sqrt(total)
+
+
+def _sketch_pairs(S: np.ndarray, drop_tol: float):
+    """Kept eigenpairs of S from a certified randomized range finder, or
+    None when the dense path must run.
+
+    A probe of _PROBE_COLUMNS columns sizes the sketch. The sketch is
+    accepted only when its residual eps = ||S - V Theta V^T||_F is at most
+    min(drop_tol, NEGATIVE_EIGENVALUE_BAND) * theta_1: by Weyl's inequality
+    every eigenvalue it did not resolve lies within +-eps, so the dense
+    path would drop it and would not call it negative.
+    """
+    width = _sketch_width(_ritz_pairs(S, _PROBE_COLUMNS, 0)[0], drop_tol)
+    if width is None or width > S.shape[0] // _SKETCH_MAX_FRACTION:
+        return None
+    theta, V = _ritz_pairs(S, width, _POWER_ITERATIONS)
+    tail_bound = _residual_norm(S, theta, V)
+    if not tail_bound <= min(drop_tol, NEGATIVE_EIGENVALUE_BAND) * theta[0]:
+        return None
+    lam, keep, clamped_mass = _clamp_and_keep(theta, drop_tol)
+    lam_kept = lam[keep]
+    # the trace is exact, so trace = kept + dropped - clamped as on the dense path
+    dropped_mass = float(np.trace(S)) - float(lam_kept.sum()) + clamped_mass
+    return lam_kept, V[:, keep], dropped_mass, clamped_mass, tail_bound
+
+
 def decompose(
     C: np.ndarray,
     space: DiscreteMeasureSpace,
@@ -168,10 +322,14 @@ def decompose(
 ) -> MercerDecomposition:
     """Eigendecompose the covariance operator over the space.
 
-    One Householder reduction of the whitened operator to tridiagonal form
-    gives every eigenvalue (divide and conquer, as in LAPACK ``syevd``), so
-    the PSD check, the clamp and ``dropped_mass`` see the whole spectrum,
-    but only the retained eigenvectors are back-transformed to the nodes.
+    Two paths give the same rank, drop rule and PSD check. For n >= 512
+    and drop_tol > 0, a randomized range finder whose probe predicts a
+    narrow enough sketch is tried first, and its eigenpairs are kept only
+    under the certificate ``tail_bound`` <= min(drop_tol, 1e-10) * lambda_1
+    (see ``MercerDecomposition``). Otherwise, one Householder reduction to
+    tridiagonal form gives every eigenvalue, so the PSD check, the clamp
+    and ``dropped_mass`` see the whole spectrum, and only the retained
+    eigenvectors are back-transformed to the nodes.
 
     Parameters
     ----------
@@ -216,41 +374,12 @@ def decompose(
         )
     check_symmetric(C, "covariance")
     w_sqrt = np.sqrt(space.weights)
-    S = C * w_sqrt[:, None] * w_sqrt[None, :]
-    # S = Q T Q^T with T tridiagonal; LAPACK reads the lower triangle of the
-    # Fortran-ordered S.T (the upper triangle of S) and overwrites it with
-    # the Householder reflectors that make up Q
-    (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
-    refl, d, e, tau = _lapack("dsytrd", S.T, lower=1, lwork=int(lwork), overwrite_a=1)
-    # dstevd needs a non-empty off-diagonal even when n == 1
-    lam, W = _lapack("dstevd", d, e if n > 1 else np.zeros(1), compute_v=1)
-    lam, W = lam[::-1], W[:, ::-1]
-
-    lam_max = float(lam[0])
-    neg_band = NEGATIVE_EIGENVALUE_BAND * max(lam_max, 0.0)
-    worst = float(lam[-1])
-    if worst < -neg_band:
-        raise NotPositiveSemidefiniteError(
-            f"covariance operator is not positive semidefinite: eigenvalue "
-            f"{worst:.6e} below tolerance {-neg_band:.6e}",
-            worst_eigenvalue=worst,
-        )
-    clamped_mass = float(np.abs(lam[lam < 0.0]).sum())
-    lam = np.maximum(lam, 0.0)
-
-    keep = lam > drop_tol * lam_max if lam_max > 0.0 else np.zeros(n, dtype=bool)
-    dropped_mass = float(lam[~keep].sum())
-    lam_kept = lam[keep]
-    V_kept = W[:, keep]
-    if n > 1:
-        # Q = diag(1, Q') with Q' the product of the n - 1 reflectors
-        # (LAPACK dormtr, uplo 'L'), applied to the kept columns only
-        reflectors = refl[1:, :-1]
-        _, work = _lapack("dormqr", "L", "N", reflectors, tau, V_kept[1:], -1)
-        V_kept[1:] = _lapack("dormqr", "L", "N", reflectors, tau, V_kept[1:],
-                             int(work[0]))[0]
+    S = C * w_sqrt[:, None]
+    S *= w_sqrt[None, :]
+    sketch = _sketch_pairs(S, drop_tol) if n >= _SKETCH_MIN_N and drop_tol > 0.0 else None
+    lam_kept, V_kept, dropped_mass, clamped_mass, tail_bound = sketch or _dense_pairs(S, drop_tol)
     V_kept = _sign_fix(V_kept)
-    lam_kept, V_kept = _order_degenerate_clusters(lam_kept, V_kept, lam_max)
+    lam_kept, V_kept = _order_degenerate_clusters(lam_kept, V_kept)
 
     phi = V_kept / w_sqrt[:, None]
     lam_kept.setflags(write=False)
@@ -262,6 +391,7 @@ def decompose(
         dropped_mass=dropped_mass,
         clamped_mass=clamped_mass,
         space=space,
+        tail_bound=tail_bound,
     )
 
 

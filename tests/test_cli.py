@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import stat
 import time
 import tracemalloc
 
@@ -116,6 +119,52 @@ def test_sample_long_format(tmp_path):
     text = (out / "samples.csv").read_text().splitlines()
     assert text[0] == "draw,point_index,value"
     assert len(text) == 1 + 3 * 4
+
+
+def test_sample_long_format_streams_the_same_text(tmp_path, monkeypatch):
+    n, n_draws = 8, 4096
+    cfg = bm_config(tmp_path, n=n, extra={"sample": {"n_draws": n_draws, "format": "long"}})
+    monkeypatch.setattr(cli, "_LONG_BLOCK_VALUES", 2**12)   # 8 blocks
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (draw, point_index, value) table is n_draws * n * 3 doubles
+    assert peak < n_draws * n * 3 * 8
+    draws = field.sample(field.build_field(builtin_kernel("brownian_motion"), interval_grid(n)),
+                         n_draws, seed=7).draws
+    table = np.column_stack([np.repeat(np.arange(n_draws), n), np.tile(np.arange(n), n_draws),
+                             draws.ravel()])
+    expected = io.StringIO()
+    np.savetxt(expected, table, delimiter=",", fmt="%.15g", header="draw,point_index,value",
+               comments="")
+    # compared as lists of lines: a failing string comparison this long
+    # would make pytest diff it for minutes
+    expected = expected.getvalue().splitlines(keepends=True)
+    assert (tmp_path / "a" / "samples.csv").read_text().splitlines(keepends=True) == expected
+    monkeypatch.setattr(cli, "_LONG_BLOCK_VALUES", 7 * n + 5)   # ragged blocks of 7 draws
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "samples.csv").read_text().splitlines(keepends=True) == expected
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_outputs_honour_the_umask(tmp_path, umask, mode):
+    cfg = bm_config(tmp_path, n=8, extra={
+        "sample": {"n_draws": 10},
+        "integrate": {"integrand": {"components": ["1"]}, "n_draws": 100},
+    })
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        for cmd in ("factorize", "sample", "integrate"):
+            assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == {name: mode for name in ("decomposition.json", "factor.csv", "samples.csv",
+                                             "samples_meta.json", "integral.json")}
 
 
 def test_sample_seed_override(tmp_path):
@@ -273,6 +322,27 @@ def test_integrate_deterministic_section(tmp_path, capsys):
     assert result["kind"] == "deterministic"
     assert result["rkhs_norm_squared"] == pytest.approx(0.5, rel=1e-8)
     assert result["histogram"]["variance"] == pytest.approx(0.5, rel=0.1)
+
+
+def test_integrate_histogram_reads_noise_blocks(tmp_path, monkeypatch):
+    # the integrand "1" is the first basis element: each draw is xi_1
+    n, n_draws = 128, 40000
+    cfg = bm_config(tmp_path, n=n, extra={
+        "integrate": {"integrand": {"components": ["1"]}, "n_draws": n_draws},
+    })
+    monkeypatch.setattr(field, "_BLOCK_VARIATES", 2**16)   # blocks of 512 rows
+    tracemalloc.start()
+    try:
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_draws * n * 8 / 4   # the whole noise matrix is n_draws * rank doubles
+    xi = field.noise_matrix(n_draws, n, seed=7)[:, 0]
+    histogram = json.loads((tmp_path / "integral.json").read_text())["histogram"]
+    assert histogram["mean"] == float(xi.mean())
+    assert histogram["variance"] == float(xi.var())
+    assert histogram["quantiles"]["0.05"] == float(np.quantile(xi, 0.05))
 
 
 def test_integrate_random_polynomial(tmp_path, capsys):

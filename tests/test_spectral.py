@@ -38,9 +38,13 @@ ALL_KERNELS = [
 BM_ANALYTIC = [1.0 / (((k - 0.5) * np.pi) ** 2) for k in range(1, 6)]
 
 
-def _decompose_builtin(name, params, n):
+def _kernel_case(name, params, n):
     sp = interval_grid(n)
-    C = assemble(builtin_kernel(name, params), sp)
+    return assemble(builtin_kernel(name, params), sp), sp
+
+
+def _decompose_builtin(name, params, n):
+    C, sp = _kernel_case(name, params, n)
     return C, sp, decompose(C, sp)
 
 
@@ -380,20 +384,178 @@ def _low_rank_covariances(draw):
     return C, DiscreteMeasureSpace(points=np.arange(float(n)), weights=weights)
 
 
-@settings(derandomize=True, deadline=None, database=None)
-@given(_low_rank_covariances())
-def test_decompose_matches_dense_reference(case):
-    C, sp = case
-    dec = decompose(C, sp)
+#: sketch constants that let ``decompose`` try the sketch from n = 8 on
+FORCED_SKETCH = {"_SKETCH_MIN_N": 8, "_PROBE_COLUMNS": 8, "_OVERSAMPLE": 4,
+                 "_SKETCH_MAX_FRACTION": 1}
+
+
+def _force_sketch(monkeypatch):
+    for name, value in FORCED_SKETCH.items():
+        monkeypatch.setattr(spectral, name, value)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record each call of module.name in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _dense_reference(C, sp, drop_tol=1e-12):
+    """Descending eigenvalues of the whitened operator from a dense ``eigh``,
+    clamped at zero, and the mask the drop rule keeps."""
     w_sqrt = np.sqrt(sp.weights)
     ref = np.linalg.eigh((C * w_sqrt[:, None]) * w_sqrt[None, :])[0][::-1]
     lam_1 = max(ref[0], 0.0)
     ref = np.maximum(ref, 0.0)
-    keep = ref > 1e-12 * lam_1 if lam_1 > 0.0 else np.zeros(ref.size, dtype=bool)
-    scale = max(lam_1, 1e-300)
-    assert dec.rank == keep.sum()
-    assert np.max(np.abs(dec.eigenvalues - ref[keep]), initial=0.0) <= 1e-12 * scale
-    assert abs(dec.dropped_mass - ref[~keep].sum()) <= 1e-12 * scale
-    V = dec.whitened_vectors()
-    assert np.max(np.abs(V.T @ V - np.eye(dec.rank)), initial=0.0) <= 1e-10
-    assert np.max(np.abs(dec.reconstruction() - C)) <= 1e-8 * scale
+    keep = ref > drop_tol * lam_1 if lam_1 > 0.0 else np.zeros(ref.size, dtype=bool)
+    return ref, keep, max(lam_1, 1e-300)
+
+
+def test_decompose_matches_dense_reference(monkeypatch):
+    # every case runs at the default constants (dense at these sizes) and
+    # with the sketch forced; the forced run must both accept and reject it
+    sketches = _count_calls(monkeypatch, spectral, "_sketch_pairs")
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(_low_rank_covariances())
+    def matches(case):
+        C, sp = case
+        ref, keep, scale = _dense_reference(C, sp)
+        for forced in (False, True):
+            with monkeypatch.context() as m:
+                if forced:
+                    _force_sketch(m)
+                dec = decompose(C, sp)
+            assert dec.rank == keep.sum()
+            assert np.max(np.abs(dec.eigenvalues - ref[keep]), initial=0.0) <= 1e-12 * scale
+            assert abs(dec.dropped_mass - ref[~keep].sum()) <= 1e-12 * scale
+            V = dec.whitened_vectors()
+            assert np.max(np.abs(V.T @ V - np.eye(dec.rank)), initial=0.0) <= 1e-10
+            assert np.max(np.abs(dec.reconstruction() - C)) <= 1e-8 * scale
+            trace = trace_of_operator(C, sp)
+            assert abs(dec.eigenvalues.sum() + dec.dropped_mass - dec.clamped_mass - trace) \
+                <= 1e-12 * scale
+            assert 0.0 <= dec.tail_bound <= 1e-12 * scale
+
+    matches()
+    accepted = [found is not None for found in sketches]
+    assert True in accepted and False in accepted
+
+
+def _spectrum_matrix(eigenvalues, seed=0):
+    """Covariance on interval_grid(n) whose whitened operator has the given
+    spectrum, with eigenvectors from a random orthogonal matrix."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    sp = interval_grid(lam.size)
+    U = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size, lam.size)))[0]
+    S = (U * lam) @ U.T
+    S = (S + S.T) / 2.0
+    return S / sp.weights[0], sp
+
+
+def _dense_decompose(monkeypatch, C, sp, drop_tol=1e-12):
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_SKETCH_MIN_N", 10**9)
+        return decompose(C, sp, drop_tol=drop_tol)
+
+
+def _assert_same(dec, ref):
+    assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(dec.eigenfunctions, ref.eigenfunctions)
+    assert (dec.dropped_mass, dec.clamped_mass, dec.tail_bound) == \
+        (ref.dropped_mass, ref.clamped_mass, ref.tail_bound)
+
+
+def _plateau_case():
+    # a Gaussian-like decay that the probe extrapolates to below drop_tol,
+    # over a flat tail at 1e-8 that no sketch of that width resolves
+    k = np.arange(512)
+    return _spectrum_matrix(np.maximum(np.exp(-0.05 * k**2), 1e-8))
+
+
+@pytest.mark.parametrize("case,drop_tol,forced", [
+    (lambda: _kernel_case("fbm", {"hurst": 0.7}, 64), 1e-12, True),
+    (_plateau_case, 1e-12, False),
+    (lambda: _kernel_case("squared_exponential", {"length_scale": 0.1}, 512), 0.0, False),
+], ids=["full_rank", "plateau_above_drop_tol", "drop_tol_zero"])
+def test_decompose_falls_back_to_dense(monkeypatch, case, drop_tol, forced):
+    C, sp = case()
+    ref = _dense_decompose(monkeypatch, C, sp, drop_tol)
+    if forced:
+        _force_sketch(monkeypatch)
+    reductions = _count_calls(monkeypatch, spectral.lapack, "dsytrd")
+    dec = decompose(C, sp, drop_tol=drop_tol)
+    assert len(reductions) == 1
+    _assert_same(dec, ref)
+    assert dec.tail_bound == 0.0
+
+
+def test_sketch_rejects_indefinite(monkeypatch):
+    # rank 3 plus one clearly negative eigenvalue: the sketch resolves all
+    # four, so its certificate holds and its Ritz values fail the PSD check
+    _force_sketch(monkeypatch)
+    C, sp = _spectrum_matrix([1.0, 0.5, 0.2, -0.3] + [0.0] * 28)
+    reductions = _count_calls(monkeypatch, spectral.lapack, "dsytrd")
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        decompose(C, sp)
+    assert err.value.worst_eigenvalue == pytest.approx(-0.3, rel=1e-10)
+    assert reductions == []
+
+
+def test_sketch_records_clamped_negative(monkeypatch):
+    # a negative eigenvalue inside the round-off band is resolved, clamped
+    # and counted, and the trace identity still holds
+    _force_sketch(monkeypatch)
+    C, sp = _spectrum_matrix([1.0, 0.5, 0.2, -5e-11] + [0.0] * 28)
+    reductions = _count_calls(monkeypatch, spectral.lapack, "dsytrd")
+    dec = decompose(C, sp)
+    assert reductions == []
+    assert dec.rank == 3
+    assert dec.clamped_mass == pytest.approx(5e-11, rel=1e-4)
+    assert abs(dec.dropped_mass) <= 1e-14
+    trace = trace_of_operator(C, sp)
+    assert abs(dec.eigenvalues.sum() + dec.dropped_mass - dec.clamped_mass - trace) <= 1e-14
+
+
+def test_certificate_residual_matches_dense_norm(monkeypatch):
+    monkeypatch.setattr(spectral, "_RESIDUAL_BLOCK", 3 * 40 + 7)   # ragged blocks of 3 rows
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((40, 40))
+    V = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+    theta = rng.standard_normal(6)
+    expected = np.linalg.norm(S - (V * theta) @ V.T)
+    assert spectral._residual_norm(S, theta, V) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sketch_is_deterministic(monkeypatch):
+    _force_sketch(monkeypatch)
+    C, sp = _spectrum_matrix(np.exp(-0.5 * np.arange(48.0) ** 2), seed=3)
+    dec1, dec2 = decompose(C, sp), decompose(C, sp)
+    assert dec1.tail_bound > 0.0
+    _assert_same(dec1, dec2)
+
+
+def test_sketch_at_real_size_matches_dense_reference(monkeypatch):
+    # default constants: squared exponential l=0.1 at n=1024 has rank 29
+    C, sp = _kernel_case("squared_exponential", {"length_scale": 0.1}, 1024)
+    reductions = _count_calls(monkeypatch, spectral.lapack, "dsytrd")
+    dec = decompose(C, sp)
+    assert reductions == []
+    ref, keep, lam_1 = _dense_reference(C, sp)
+    assert dec.rank == keep.sum() == 29
+    assert np.max(np.abs(dec.eigenvalues - ref[keep])) <= 1e-12 * lam_1
+    assert abs(dec.dropped_mass - ref[~keep].sum()) <= 1e-12 * lam_1
+    # the dropped mass (about 2e-13) is that of the tail, not just a small number
+    assert dec.dropped_mass == pytest.approx(ref[~keep].sum(), rel=0.05)
+    assert 0.0 < dec.tail_bound <= 1e-12 * lam_1
+    trace = trace_of_operator(C, sp)
+    assert abs(dec.eigenvalues.sum() + dec.dropped_mass - dec.clamped_mass - trace) <= 1e-12 * lam_1
+    assert np.max(np.abs(dec.reconstruction() - C)) <= 1e-8 * lam_1
