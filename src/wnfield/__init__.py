@@ -35,6 +35,7 @@ from .field import (
     empirical_covariance,
     mollify_factor,
     noise_blocks,
+    noise_gram,
     noise_matrix,
     sample,
     tangent_gram,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionMismatchError, InsufficientSamplesError
-from .kernels import CovarianceKernel, assemble
+from .kernels import CovarianceKernel, _upper_tiles, assemble
 from .spaces import DiscreteMeasureSpace
 from .spectral import (
     MercerDecomposition,
@@ -37,6 +37,7 @@ __all__ = [
     "build_field",
     "noise_matrix",
     "noise_blocks",
+    "noise_gram",
     "sample",
     "empirical_covariance",
     "covariance_standard_error",
@@ -66,11 +67,19 @@ class GaussianField:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Batch of field realizations, one per row, with its provenance."""
+    """Batch of field realizations, one per row, with its provenance.
+
+    A batch from ``sample`` also carries the n x m factor columns its draws
+    were summed from (``factor``, read-only) and the noise stride, so its
+    draws are ``noise_matrix(N, m, seed, stride=stride) @ factor.T`` and
+    ``draws`` is read-only. A batch built by hand has neither.
+    """
 
     draws: np.ndarray
     seed: int
     truncation: int
+    factor: np.ndarray | None = None
+    stride: int | None = None
 
 
 def build_field(
@@ -89,6 +98,13 @@ def build_field(
 
 #: generated variates per row block that ``noise_blocks`` yields (16 MB)
 _BLOCK_VARIATES = 2**21
+#: generated variates per tile of rows that ``noise_gram`` sums in one product
+_GRAM_VARIATES = 2**21
+#: cost of one generated variate in multiply-adds of the X^T X product:
+#: fitted to where the two paths of ``empirical_covariance`` take equal
+#: time (n 128-2048, N 500-20000, 2 CPUs), the switch falls at m between
+#: about n/8 and n/3
+_VARIATE_MADDS = 1000
 #: fewest variates worth a worker thread, and the most one worker buffers
 #: at a time when the stride leaves uniforms unused
 _CHUNK_VARIATES = 2**16
@@ -178,6 +194,34 @@ def noise_blocks(n_draws: int, m: int, seed: int, stride: int | None = None):
         yield r0, noise_matrix(min(rows, n_draws - r0), m, seed, row_start=r0, stride=stride)
 
 
+def noise_gram(n_draws: int, m: int, seed: int, stride: int | None = None) -> np.ndarray:
+    """Gram matrix xi^T xi of ``noise_matrix(n_draws, m, seed, stride=stride)``.
+
+    The noise is drawn by ``noise_blocks``, one block held at a time. G is
+    summed one tile of about 2^21 generated variates at a time, tiles
+    aligned to row 0, so its bits do not depend on the block size or the
+    CPU count; with the default block size a block is one tile.
+    """
+    tile = max(1, _GRAM_VARIATES // _row_width(m if stride is None else stride))
+    G = np.zeros((m, m))
+    parts, held = [], 0   # rows of the tile being summed
+    for r0, xi in noise_blocks(n_draws, m, seed, stride):
+        i = 0
+        while i < len(xi):
+            take = min(tile - held, len(xi) - i)
+            parts.append(xi[i:i + take])
+            i, held = i + take, held + take
+            if held == tile or r0 + i == n_draws:
+                t = np.vstack(parts) if len(parts) > 1 else parts[0]
+                G += t.T @ t
+                del t
+                parts, held = [], 0
+        if parts:   # a tile the next block finishes: keep its rows, not the block
+            parts[-1] = parts[-1].copy()
+        del xi   # before the next block is drawn
+    return G
+
+
 def sample(
     field: GaussianField,
     n_draws: int,
@@ -208,27 +252,61 @@ def sample(
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if m == 0:   # rank 0 included
-        return SampleBatch(draws=np.zeros((n_draws, field.space.size)), seed=seed, truncation=m)
+        draws = np.zeros((n_draws, field.space.size))
+        draws.setflags(write=False)
+        return SampleBatch(draws=draws, seed=seed, truncation=m)
     draws = np.empty((n_draws, field.space.size))
     F = field.factor.factor[:, :m]
+    F.setflags(write=False)   # this view only; the field's factor keeps its flags
     for r0, xi in noise_blocks(n_draws, m, seed, stride=rank):
         np.matmul(xi, F.T, out=draws[r0:r0 + len(xi)])
         del xi   # before the next block is drawn
-    return SampleBatch(draws=draws, seed=seed, truncation=m)
+    draws.setflags(write=False)
+    return SampleBatch(draws=draws, seed=seed, truncation=m, factor=F, stride=rank)
+
+
+def _gram_pays(n_draws: int, n: int, m: int, stride: int) -> bool:
+    """Whether the noise Gram path of ``empirical_covariance`` is cheaper.
+
+    In multiply-adds: regenerating the noise and forming G cost
+    N (V width + m^2 / 2), its eigendecomposition about 10 m^3, F U and
+    Y Y^T n m^2 + n^2 m / 2, against N n^2 / 2 for X^T X. A variate counts
+    V = ``_VARIATE_MADDS``.
+    """
+    gram = (n_draws * (_VARIATE_MADDS * _row_width(stride) + m * m / 2)
+            + 10 * m**3 + n * m * m + n * n * m / 2)
+    return gram < n_draws * n * n / 2
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     """Centered second-moment estimator (1/N) sum_r X_r X_r^T.
 
-    No mean subtraction: the fields are centered by construction.
+    No mean subtraction: the fields are centered by construction. A batch
+    from ``sample`` has draws X = xi F^T with F of width m, so X^T X =
+    F G F^T for the m x m noise Gram matrix G = xi^T xi. When that is
+    cheaper (m well below n), G is regenerated from the seed by
+    ``noise_gram`` and E = Y Y^T with Y = F U diag(sqrt(g / N)) from the
+    eigendecomposition G = U diag(g) U^T, formed a tile at a time and
+    mirrored: exactly symmetric, positive semidefinite, and equal to
+    X^T X / N up to round-off. Otherwise (full rank, say), and for a
+    batch built by hand, E = X^T X / N.
     """
     X = batch.draws
-    n_draws = X.shape[0]
+    n_draws, n = X.shape
     if n_draws < 2:
         raise InsufficientSamplesError(
             f"need at least 2 draws for an empirical covariance, got {n_draws}"
         )
-    return (X.T @ X) / n_draws
+    F = batch.factor
+    if F is None or not _gram_pays(n_draws, n, F.shape[1], batch.stride or F.shape[1]):
+        return (X.T @ X) / n_draws
+    g, U = np.linalg.eigh(noise_gram(n_draws, F.shape[1], batch.seed, stride=batch.stride))
+    Y = F @ (U * np.sqrt(np.maximum(g, 0.0) / n_draws))
+    E = np.empty((n, n))
+    for I, J in _upper_tiles(n):   # a diagonal tile is one syrk, exactly symmetric
+        E[I, J] = Y[I] @ Y[J].T
+        E[J, I] = E[I, J].T
+    return E
 
 
 def covariance_standard_error(C: np.ndarray, n_draws: int) -> np.ndarray:

@@ -52,6 +52,9 @@ class CovarianceKernel:
 #: largest max|C - C^T| a covariance matrix may have, relative to max|C|
 SYMMETRY_TOL = 1e-10
 
+#: side of the square tiles of the blocked passes over the upper triangle
+_TILE = 64
+
 #: kernels whose formulas only make sense for scalar coordinates
 _SCALAR_ONLY = ("brownian_motion", "brownian_bridge", "fbm")
 
@@ -156,28 +159,42 @@ def builtin_kernel_names() -> tuple[str, ...]:
     )
 
 
+def _upper_tiles(n: int):
+    """Square tiles (I, J) of the upper triangle, J at or right of I, by
+    rows of tiles: each tile and its mirror C[J, I] fit in cache, so a pass
+    reads C transposed without a full n x n temporary."""
+    for a in range(0, n, _TILE):
+        for c in range(a, n, _TILE):
+            yield slice(a, a + _TILE), slice(c, c + _TILE)
+
+
 def check_symmetric(C: np.ndarray, what: str) -> None:
     """Reject a square matrix that is not finite or not symmetric.
 
     Raises NumericError naming the first non-finite entry (i, j), and
-    InvalidParameterError naming the worst pair when max|C - C^T| exceeds
-    ``SYMMETRY_TOL`` * max|C|. A non-finite entry makes its gap non-finite,
-    so one n x n temporary serves both checks.
+    InvalidParameterError naming the worst pair (the first in row-major
+    order among ties) when max|C - C^T| exceeds ``SYMMETRY_TOL`` * max|C|.
+    A non-finite entry makes its gap non-finite, so one blocked pass over
+    the upper triangle serves both checks.
     """
     if not C.size:
         return
-    gap = C - C.T
-    np.abs(gap, out=gap)
-    worst = gap.max()
-    if not np.isfinite(worst):
-        bad = np.argwhere(~np.isfinite(C))
-        if bad.size:
-            i, j = bad[0]
-            raise NumericError(f"{what} is not finite at entry ({i}, {j})")
+    worst, pair = 0.0, (0, 0)
+    for I, J in _upper_tiles(len(C)):
+        gap = np.abs(C[I, J] - C[J, I].T)
+        k = np.argmax(gap)   # a NaN first, else the first maximum
+        if not np.isfinite(gap.flat[k]):
+            bad = np.argwhere(~np.isfinite(C))
+            if bad.size:
+                i, j = bad[0]
+                raise NumericError(f"{what} is not finite at entry ({i}, {j})")
+        at = (I.start + k // gap.shape[1], J.start + k % gap.shape[1])
+        if gap.flat[k] > worst or gap.flat[k] == worst and at < pair:
+            worst, pair = gap.flat[k], at
     if worst > SYMMETRY_TOL * max(C.max(), -C.min()):
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        i, j = pair
         raise InvalidParameterError(
-            f"{what} is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {gap[i, j]:.3e} "
+            f"{what} is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {worst:.3e} "
             f"exceeds {SYMMETRY_TOL:g} * max|C|"
         )
 
@@ -203,7 +220,8 @@ def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarra
     """Evaluate C_ij = K(x_i, x_j) on the space and symmetrize.
 
     Symmetrizing by (C + C^T)/2 absorbs floating asymmetry in user
-    evaluators. Non-finite values are a hard error naming the first
+    evaluators; it goes a tile at a time and gives the same bits as the
+    one-shot sum. Non-finite values are a hard error naming the first
     offending pair.
     """
     n = space.size
@@ -213,7 +231,7 @@ def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarra
                 f"matrix kernel is {kernel.matrix.shape[0]}x{kernel.matrix.shape[0]} "
                 f"but space has {n} points"
             )
-        C = kernel.matrix.copy()
+        C = kernel.matrix
     else:
         pts = space.points
         if pts.ndim == 1:
@@ -236,7 +254,12 @@ def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarra
             f"kernel '{kernel.name}' is not finite at point pair "
             f"({space.points[i]}, {space.points[j]})"
         )
-    return (C + C.T) / 2.0
+    sym = np.empty((n, n))
+    for I, J in _upper_tiles(n):   # a + b == b + a: a tile serves both triangles
+        tile = (C[I, J] + C[J, I].T) / 2.0
+        sym[I, J] = tile
+        sym[J, I] = tile.T
+    return sym
 
 
 def trace_of_operator(C: np.ndarray, space: DiscreteMeasureSpace) -> float:

@@ -86,14 +86,11 @@ def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
     is not the eigen-series tail that ``truncation_error`` measures.
 
     Draws are X = xi F^T, so every moment needed is a function of the
-    noise Gram matrix G = xi^T xi, summed over noise blocks: X^T X =
+    noise Gram matrix G = xi^T xi (``field.noise_gram``): X^T X =
     F G F^T, and the mean squared norm of the tail draws xi_t A_t^T is
     sum((A_t^T W A_t) * G_t) / N. No draw and no full noise matrix is held.
     """
-    G = np.zeros((dec.rank, dec.rank))
-    for _, xi in field.noise_blocks(n_draws, dec.rank, seed):
-        G += xi.T @ xi
-        del xi   # before the next block is drawn
+    G = field.noise_gram(n_draws, dec.rank, seed)
     F = factor.factor
     emp = (F @ G @ F.T) / n_draws
     se = field.covariance_standard_error(C, n_draws)

@@ -1,23 +1,28 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wnfield import field
+from wnfield import field, kernels
 from wnfield.errors import DimensionMismatchError, InsufficientSamplesError
 from wnfield.field import (
     GaussianField,
+    SampleBatch,
     build_field,
     covariance_standard_error,
     empirical_covariance,
     mollify_factor,
     noise_blocks,
+    noise_gram,
     noise_matrix,
     sample,
     tangent_gram,
     truncation_error,
 )
-from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel
+from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel, matrix_kernel
 from wnfield.spaces import DiscreteMeasureSpace, interval_grid
 from wnfield.spectral import decompose, factorize, reproduce_covariance
 
@@ -184,6 +189,7 @@ def test_noise_rows_are_order_independent():
 def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed,
                                           workers, chunk, block):
     m = data.draw(st.integers(0, stride))
+    tile = data.draw(st.integers(1, 900))
     with pytest.MonkeyPatch.context() as mp:
         # one piece on one thread: the reference
         mp.setattr(field, "_WORKERS", 1)
@@ -195,8 +201,16 @@ def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed
         mp.setattr(field, "_BLOCK_VARIATES", block)
         assert np.array_equal(noise_matrix(n_draws, m, seed, row_start, stride), ref)
         starts, rows = zip(*noise_blocks(n_draws, m, seed, stride))
+        # the Gram matrix sums fixed tiles of rows, whatever the blocks
+        mp.setattr(field, "_GRAM_VARIATES", tile)
+        gram = noise_gram(n_draws, m, seed, stride)
     assert starts == tuple(np.cumsum([0, *map(len, rows[:-1])]))
     assert np.array_equal(np.vstack(rows), ref0)
+    step = max(1, tile // field._row_width(stride))
+    expected = np.zeros((m, m))
+    for r0 in range(0, n_draws, step):
+        expected += ref0[r0:r0 + step].T @ ref0[r0:r0 + step]
+    assert np.array_equal(gram, expected)
 
 
 def test_sample_in_ragged_blocks(monkeypatch):
@@ -210,6 +224,85 @@ def test_sample_in_ragged_blocks(monkeypatch):
         assert np.array_equal(sample(fld, 50, m, seed=4).draws, draws)
         series = noise_matrix(50, m, 4, stride=rank) @ fld.factor.factor[:, :m].T
         assert np.max(np.abs(draws - series)) <= 1e-12 * np.max(np.abs(series))
+
+
+@st.composite
+def _low_rank_fields(draw):
+    """A field of rank <= r on n nodes with eigenvalues over six decades,
+    under any gauge."""
+    n = draw(st.integers(2, 24))
+    r = draw(st.integers(1, min(n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3.0, 0.0, r)
+    gauge = draw(st.sampled_from(["symmetric_sqrt", "triangular", "rotated"]))
+    return build_field(matrix_kernel(B @ B.T), interval_grid(n), gauge=gauge,
+                       gauge_seed=draw(st.integers(0, 99)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_low_rank_fields(), st.data(), st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.integers(1, 7))
+def test_gram_covariance_matches_draws(fld, data, seed, block_rows, tile):
+    m = data.draw(st.integers(1, fld.dec.rank))
+    n_draws = data.draw(st.integers(2, max(2, m - 1)) | st.integers(max(2, m), 3 * m + 2))
+    gram_calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_gram_pays", lambda *shape: True)
+        mp.setattr(field, "_BLOCK_VARIATES", block_rows * field._row_width(fld.dec.rank))
+        mp.setattr(kernels, "_TILE", tile)   # ragged tiles of E
+        mp.setattr(field, "noise_gram", lambda *a, **k: gram_calls.append(a) or noise_gram(*a, **k))
+        batch = sample(fld, n_draws, m, seed)
+        E = empirical_covariance(batch)
+    assert len(gram_calls) == 1
+    X = batch.draws
+    ref = X.T @ X / n_draws
+    assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(E, E.T)
+
+
+def test_full_rank_and_hand_built_batches_use_the_draws(monkeypatch):
+    monkeypatch.setattr(field, "noise_gram", None)   # any call fails
+    fld = build_field(builtin_kernel("fbm", {"hurst": 0.7}), interval_grid(64))
+    batch = sample(fld, 500, seed=9)
+    assert fld.dec.rank == 64 and batch.factor.shape == (64, 64)
+    X = batch.draws
+    assert np.array_equal(empirical_covariance(batch), (X.T @ X) / 500)
+    by_hand = SampleBatch(draws=X[:, :40].copy(), seed=9, truncation=64)
+    assert by_hand.factor is None
+    assert np.array_equal(empirical_covariance(by_hand), (X[:, :40].T @ X[:, :40]) / 500)
+
+
+def test_sample_batch_is_read_only():
+    fld = build_field(builtin_kernel("brownian_motion"), interval_grid(8))
+    for m in (None, 3, 0):
+        batch = sample(fld, 4, m, seed=1)
+        with pytest.raises(ValueError):
+            batch.draws[0, 0] = 1.0
+        if m != 0:
+            assert batch.stride == 8 and np.shares_memory(batch.factor, fld.factor.factor)
+            with pytest.raises(ValueError):
+                batch.factor[0, 0] = 1.0
+
+
+def test_gram_covariance_at_real_size_never_reads_the_draws():
+    n, n_draws = 1024, 4000
+    fld = build_field(builtin_kernel("squared_exponential", {"length_scale": 0.1}),
+                      interval_grid(n))
+    batch = sample(fld, n_draws, seed=11)
+    assert fld.dec.rank < 64
+    X = batch.draws
+    ref = X.T @ X / n_draws
+    # draws of zeros: only the noise regenerated from the seed can give ref
+    blank = dataclasses.replace(batch, draws=np.zeros_like(X))
+    tracemalloc.start()
+    try:
+        E = empirical_covariance(blank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(E, E.T)
+    assert peak < n_draws * n * 8
 
 
 def test_mollify_identity_below_cell_width():

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wnfield import kernels
 
 from wnfield.errors import (
     DimensionMismatchError,
@@ -8,10 +12,12 @@ from wnfield.errors import (
     UnknownKernelError,
 )
 from wnfield.kernels import (
+    SYMMETRY_TOL,
     CovarianceKernel,
     assemble,
     builtin_kernel,
     builtin_kernel_names,
+    check_symmetric,
     matrix_kernel,
     trace_of_operator,
 )
@@ -180,3 +186,60 @@ def test_squared_exponential_on_planar_points():
     assert C[0, 1] == pytest.approx(np.exp(-25.0 / 50.0), rel=1e-14)
     C_white = assemble(builtin_kernel("white_diagonal"), sp)
     assert np.array_equal(C_white, np.eye(2))
+
+
+def _one_shot_check_symmetric(C, what):
+    """The reference: one full n x n gap matrix."""
+    if not C.size:
+        return
+    gap = C - C.T
+    np.abs(gap, out=gap)
+    worst = gap.max()
+    if not np.isfinite(worst):
+        bad = np.argwhere(~np.isfinite(C))
+        if bad.size:
+            i, j = bad[0]
+            raise NumericError(f"{what} is not finite at entry ({i}, {j})")
+    if worst > SYMMETRY_TOL * max(C.max(), -C.min()):
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        raise InvalidParameterError(
+            f"{what} is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {gap[i, j]:.3e} "
+            f"exceeds {SYMMETRY_TOL:g} * max|C|"
+        )
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except (NumericError, InvalidParameterError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+#: few distinct values, so gaps tie; extremes overflow C - C^T
+_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e-11, 5e-324, 1e308, -1e308]
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 12))
+    C = np.array(draw(st.lists(st.sampled_from(_ENTRIES), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):   # mirror the upper triangle, signed zeros kept
+        C = np.where(np.triu(np.ones((n, n), dtype=bool)), C, C.T)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        C[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1.0 + 1e-12, 3.0 - 4e-16]))
+    return C
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_square_matrices(), st.integers(1, 5))
+def test_blocked_symmetry_pass_matches_one_shot(C, tile):
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(kernels, "_TILE", tile)   # ragged tiles unless tile divides n
+        assert _outcome(check_symmetric, C, "covariance") == \
+            _outcome(_one_shot_check_symmetric, C, "covariance")
+        if np.all(np.isfinite(C)):
+            sym = assemble(CovarianceKernel("given", lambda s, t: C), interval_grid(len(C)))
+            assert sym.tobytes() == ((C + C.T) / 2.0).tobytes()   # -0.0 and inf included
