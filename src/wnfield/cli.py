@@ -94,9 +94,9 @@ CONFIG_SCHEMA = {
             },
         },
         "gauge": {"enum": list(spectral.GAUGES)},
-        "gauge_seed": {"type": "integer"},
+        "gauge_seed": {"type": "integer", "minimum": 0, "maximum": 2**128 - 1},
         "drop_tol": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**128 - 1},
         "truncate": {"type": ["integer", "null"], "minimum": 0},
         "sample": {
             "type": "object",
@@ -191,20 +191,28 @@ def _read_json(path, what: str):
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+#: draft 2020-12 counts 3.0 as an integer; counts, sizes and seeds must be ints
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+)
+
+
 def _validate(document, schema: dict, what: str):
     try:
-        jsonschema.validate(document, schema)
+        jsonschema.validate(document, schema, cls=_Validator)
     except jsonschema.ValidationError as exc:
-        raise UsageError(f"{what} schema violation: {exc.message}") from exc
+        raise UsageError(f"{what} schema violation at {exc.json_path}: {exc.message}") from exc
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, args) -> dict:
+    """The config at ``path`` under the command-line overrides in ``args``,
+    validated against ``CONFIG_SCHEMA``, with defaults filled in."""
     config = _read_json(path, "config")
+    if isinstance(config, dict):   # anything else fails the schema as it is
+        _apply_overrides(config, args)
     _validate(config, CONFIG_SCHEMA, "config")
-    try:
-        float(config.get("drop_tol", 0.0))
-    except OverflowError as exc:   # JSON integers have no range
-        raise UsageError("config key drop_tol is not a finite number") from exc
     return {**CONFIG_DEFAULTS, **config}
 
 
@@ -256,8 +264,8 @@ def _build_field(config: dict, base_dir: Path) -> field.GaussianField:
                              gauge_seed=config["gauge_seed"])
 
 
-def _apply_overrides(config: dict, args) -> dict:
-    """Command-line overrides, applied to the fresh dict load_config returns."""
+def _apply_overrides(config: dict, args):
+    """Write the command-line overrides into ``config``."""
     if args.seed is not None:
         config["seed"] = args.seed
     if args.truncate is not None:
@@ -276,7 +284,6 @@ def _apply_overrides(config: dict, args) -> dict:
                 "(rotated may carry a seed as rotated:SEED)"
             )
         config["gauge"] = gauge
-    return config
 
 
 # -- output plumbing ------------------------------------------------------
@@ -440,7 +447,7 @@ def _load_integrand(config: dict, args) -> dict:
 
 def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
     spec = _load_integrand(config, args)
-    dec = _build_field(config, base_dir).dec
+    _, _, dec = assemble_and_decompose(config, base_dir)
     seed = config["seed"]
     n_draws = config.get("integrate", {}).get("n_draws", 10000)
 
@@ -575,8 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
+        config = load_config(args.config, args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         base_dir = Path(args.config).resolve().parent
@@ -585,7 +591,7 @@ def main(argv=None) -> int:
         command = {"factorize": cmd_factorize, "sample": cmd_sample,
                    "verify": cmd_verify, "tangent": cmd_tangent}[args.command]
         return command(config, out_dir, base_dir)
-    except UsageError as exc:
+    except (UsageError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, NumericError, NotInRkhsError, DimensionMismatchError,

@@ -98,8 +98,6 @@ def build_field(
 
 #: generated variates per row block that ``noise_blocks`` yields (16 MB)
 _BLOCK_VARIATES = 2**21
-#: generated variates per tile of rows that ``noise_gram`` sums in one product
-_GRAM_VARIATES = 2**21
 #: cost of one generated variate in multiply-adds of the X^T X product:
 #: fitted to where the two paths of ``empirical_covariance`` take equal
 #: time (n 128-2048, N 500-20000, 2 CPUs), the switch falls at m between
@@ -195,29 +193,13 @@ def noise_blocks(n_draws: int, m: int, seed: int, stride: int | None = None):
 
 
 def noise_gram(n_draws: int, m: int, seed: int, stride: int | None = None) -> np.ndarray:
-    """Gram matrix xi^T xi of ``noise_matrix(n_draws, m, seed, stride=stride)``.
-
-    The noise is drawn by ``noise_blocks``, one block held at a time. G is
-    summed one tile of about 2^21 generated variates at a time, tiles
-    aligned to row 0, so its bits do not depend on the block size or the
-    CPU count; with the default block size a block is one tile.
+    """Gram matrix xi^T xi of ``noise_matrix(n_draws, m, seed, stride=stride)``,
+    summed one ``noise_blocks`` block at a time with one block held. Blocks
+    do not depend on the CPU count, so neither do the bits of G.
     """
-    tile = max(1, _GRAM_VARIATES // _row_width(m if stride is None else stride))
     G = np.zeros((m, m))
-    parts, held = [], 0   # rows of the tile being summed
-    for r0, xi in noise_blocks(n_draws, m, seed, stride):
-        i = 0
-        while i < len(xi):
-            take = min(tile - held, len(xi) - i)
-            parts.append(xi[i:i + take])
-            i, held = i + take, held + take
-            if held == tile or r0 + i == n_draws:
-                t = np.vstack(parts) if len(parts) > 1 else parts[0]
-                G += t.T @ t
-                del t
-                parts, held = [], 0
-        if parts:   # a tile the next block finishes: keep its rows, not the block
-            parts[-1] = parts[-1].copy()
+    for _, xi in noise_blocks(n_draws, m, seed, stride):
+        G += xi.T @ xi
         del xi   # before the next block is drawn
     return G
 
@@ -269,13 +251,29 @@ def _gram_pays(n_draws: int, n: int, m: int, stride: int) -> bool:
     """Whether the noise Gram path of ``empirical_covariance`` is cheaper.
 
     In multiply-adds: regenerating the noise and forming G cost
-    N (V width + m^2 / 2), its eigendecomposition about 10 m^3, F U and
-    Y Y^T n m^2 + n^2 m / 2, against N n^2 / 2 for X^T X. A variate counts
-    V = ``_VARIATE_MADDS``.
+    N (V width + m^2 / 2) and ``_noise_moment`` n m^2 + n^2 m, against
+    N n^2 / 2 for X^T X. A variate counts V = ``_VARIATE_MADDS``.
     """
-    gram = (n_draws * (_VARIATE_MADDS * _row_width(stride) + m * m / 2)
-            + 10 * m**3 + n * m * m + n * n * m / 2)
+    gram = n_draws * (_VARIATE_MADDS * _row_width(stride) + m * m / 2) + n * m * m + n * n * m
     return gram < n_draws * n * n / 2
+
+
+def _noise_moment(F: np.ndarray, G: np.ndarray, n_draws: int) -> np.ndarray:
+    """Second moment (1/N) F G F^T of draws X = xi F^T with G = xi^T xi.
+
+    One product; each upper tile is then copied onto its mirror (on a
+    diagonal tile, its upper triangle onto its lower), so the result is
+    exactly symmetric.
+    """
+    E = F @ G @ F.T / n_draws
+    for I, J in _upper_tiles(len(E)):
+        if I == J:
+            T = E[I, I]
+            lower = np.tril_indices(len(T), -1)
+            T[lower] = T.T[lower]
+        else:
+            E[J, I] = E[I, J].T
+    return E
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
@@ -285,10 +283,9 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     from ``sample`` has draws X = xi F^T with F of width m, so X^T X =
     F G F^T for the m x m noise Gram matrix G = xi^T xi. When that is
     cheaper (m well below n), G is regenerated from the seed by
-    ``noise_gram`` and E = Y Y^T with Y = F U diag(sqrt(g / N)) from the
-    eigendecomposition G = U diag(g) U^T, formed a tile at a time and
-    mirrored: exactly symmetric, positive semidefinite, and equal to
-    X^T X / N up to round-off. Otherwise (full rank, say), and for a
+    ``noise_gram`` and E = (1/N) F G F^T (``_noise_moment``): exactly
+    symmetric, and equal to X^T X / N up to round-off, so positive
+    semidefinite up to round-off. Otherwise (full rank, say), and for a
     batch built by hand, E = X^T X / N.
     """
     X = batch.draws
@@ -300,13 +297,8 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     F = batch.factor
     if F is None or not _gram_pays(n_draws, n, F.shape[1], batch.stride or F.shape[1]):
         return (X.T @ X) / n_draws
-    g, U = np.linalg.eigh(noise_gram(n_draws, F.shape[1], batch.seed, stride=batch.stride))
-    Y = F @ (U * np.sqrt(np.maximum(g, 0.0) / n_draws))
-    E = np.empty((n, n))
-    for I, J in _upper_tiles(n):   # a diagonal tile is one syrk, exactly symmetric
-        E[I, J] = Y[I] @ Y[J].T
-        E[J, I] = E[I, J].T
-    return E
+    G = noise_gram(n_draws, F.shape[1], batch.seed, stride=batch.stride)
+    return _noise_moment(F, G, n_draws)
 
 
 def covariance_standard_error(C: np.ndarray, n_draws: int) -> np.ndarray:

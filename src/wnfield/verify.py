@@ -86,13 +86,13 @@ def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
     is not the eigen-series tail that ``truncation_error`` measures.
 
     Draws are X = xi F^T, so every moment needed is a function of the
-    noise Gram matrix G = xi^T xi (``field.noise_gram``): X^T X =
-    F G F^T, and the mean squared norm of the tail draws xi_t A_t^T is
+    noise Gram matrix G = xi^T xi (``field.noise_gram``): X^T X / N is
+    ``field._noise_moment``, the same routine ``field.empirical_covariance``
+    uses, and the mean squared norm of the tail draws xi_t A_t^T is
     sum((A_t^T W A_t) * G_t) / N. No draw and no full noise matrix is held.
     """
     G = field.noise_gram(n_draws, dec.rank, seed)
-    F = factor.factor
-    emp = (F @ G @ F.T) / n_draws
+    emp = field._noise_moment(factor.factor, G, n_draws)
     se = field.covariance_standard_error(C, n_draws)
     band = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
     checks = [check("empirical_covariance_band", band, band_se,

@@ -345,6 +345,27 @@ def test_integrate_histogram_reads_noise_blocks(tmp_path, monkeypatch):
     assert histogram["quantiles"]["0.05"] == float(np.quantile(xi, 0.05))
 
 
+def test_integrate_builds_no_factor(tmp_path, monkeypatch):
+    # the integral depends on the decomposition only, not on the gauge
+    sp = interval_grid(16)
+    C = assemble(builtin_kernel("brownian_motion"), sp)
+    integrand = tmp_path / "f.json"
+    integrand.write_text(json.dumps({"field_values": C[:, 5].tolist()}))
+    cfg = bm_config(tmp_path, n=16, extra={"integrate": {"n_draws": 500}})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "ref"),
+                 "--integrand", str(integrand)]) == 0
+    calls = []
+    monkeypatch.setattr(spectral, "factorize", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(field, "factorize", lambda *a, **k: calls.append(a))
+    reference = (tmp_path / "ref" / "integral.json").read_bytes()
+    for gauge in ("triangular", "rotated:3"):
+        out = tmp_path / gauge
+        assert main(["integrate", "--config", cfg, "--out", str(out),
+                     "--integrand", str(integrand), "--gauge", gauge]) == 0
+        assert (out / "integral.json").read_bytes() == reference
+    assert calls == []
+
+
 def test_integrate_random_polynomial(tmp_path, capsys):
     integrand = tmp_path / "u.json"
     integrand.write_text(json.dumps({"components": ["x1"]}))
@@ -424,6 +445,45 @@ def test_huge_integer_drop_tol_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert "drop_tol" in capsys.readouterr().err
     assert not (tmp_path / "decomposition.json").exists()
+
+
+@pytest.mark.parametrize("command", ["factorize", "sample", "verify", "integrate", "tangent"])
+@pytest.mark.parametrize("key,extra,flags", [
+    ("seed", {"seed": -1}, []),
+    ("seed", {"seed": 10**51}, []),
+    ("seed", {"seed": 3.0}, []),
+    ("gauge_seed", {"gauge": "rotated", "gauge_seed": -3}, []),
+    ("gauge_seed", {"gauge": "rotated", "gauge_seed": 2**128}, []),
+    ("seed", {}, ["--seed", "-1"]),
+    ("seed", {}, ["--seed", str(2**128)]),
+    ("gauge_seed", {}, ["--gauge", "rotated:-3"]),
+])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, command, key, extra, flags):
+    cfg = bm_config(tmp_path, n=8, extra=extra)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+    assert f"at $.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seeds_are_accepted(tmp_path):
+    top = str(2**128 - 1)
+    cfg = bm_config(tmp_path, n=8, extra={"verify": {"n_draws": 200, "duality_pairs": 1}})
+    for command in ("sample", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     "--seed", top, "--gauge", f"rotated:{top}"]) == 0
+
+
+@pytest.mark.parametrize("command", ["factorize", "sample", "verify"])
+@pytest.mark.parametrize("kernel", [{"name": "brownian_motion"}, {"name": "brownian_bridge"},
+                                    {"name": "fbm", "params": {"hurst": 0.7}}])
+def test_scalar_only_kernel_on_plane_exits_2(tmp_path, capsys, command, kernel):
+    cfg = write_config(tmp_path / "c.json", {
+        "space": {"type": "custom", "points": [[0, 0], [1, 1], [0, 1]], "weights": [1, 1, 1]},
+        "kernel": kernel,
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scalar coordinates only" in err
 
 
 def test_non_finite_json_exits_2(tmp_path, capsys):

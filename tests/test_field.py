@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wnfield import field, kernels
+from wnfield import field, kernels, verify
 from wnfield.errors import DimensionMismatchError, InsufficientSamplesError
 from wnfield.field import (
     GaussianField,
@@ -189,7 +189,6 @@ def test_noise_rows_are_order_independent():
 def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed,
                                           workers, chunk, block):
     m = data.draw(st.integers(0, stride))
-    tile = data.draw(st.integers(1, 900))
     with pytest.MonkeyPatch.context() as mp:
         # one piece on one thread: the reference
         mp.setattr(field, "_WORKERS", 1)
@@ -201,12 +200,11 @@ def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed
         mp.setattr(field, "_BLOCK_VARIATES", block)
         assert np.array_equal(noise_matrix(n_draws, m, seed, row_start, stride), ref)
         starts, rows = zip(*noise_blocks(n_draws, m, seed, stride))
-        # the Gram matrix sums fixed tiles of rows, whatever the blocks
-        mp.setattr(field, "_GRAM_VARIATES", tile)
         gram = noise_gram(n_draws, m, seed, stride)
     assert starts == tuple(np.cumsum([0, *map(len, rows[:-1])]))
     assert np.array_equal(np.vstack(rows), ref0)
-    step = max(1, tile // field._row_width(stride))
+    # the Gram matrix sums one block at a time, whatever the workers and chunks
+    step = max(1, block // field._row_width(stride))
     expected = np.zeros((m, m))
     for r0 in range(0, n_draws, step):
         expected += ref0[r0:r0 + step].T @ ref0[r0:r0 + step]
@@ -258,6 +256,25 @@ def test_gram_covariance_matches_draws(fld, data, seed, block_rows, tile):
     ref = X.T @ X / n_draws
     assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(E, E.T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("gauge", ["symmetric_sqrt", "triangular", "rotated"])
+def test_verify_band_is_the_library_moment(gauge, seed):
+    # one moment routine: the battery's band is the one the library's
+    # low-rank empirical covariance gives, bit for bit
+    n, n_draws, gauge_seed = 512, 3000, 2
+    space = interval_grid(n)
+    C = assemble(builtin_kernel("squared_exponential", {"length_scale": 0.1}), space)
+    dec = decompose(C, space)
+    assert field._gram_pays(n_draws, n, dec.rank, dec.rank)
+    fld = GaussianField(space=space, dec=dec, factor=factorize(dec, gauge, seed=gauge_seed))
+    E = empirical_covariance(sample(fld, n_draws, seed=seed))
+    se = covariance_standard_error(C, n_draws)
+    band = float(np.max(np.abs(E - C) / np.maximum(se, 1e-300)))
+    checks = verify.battery(C, dec, gauge=gauge, gauge_seed=gauge_seed, seed=seed,
+                            n_draws=n_draws, reproducing_functions=1, duality_pairs=1)
+    assert [c["error"] for c in checks if c["name"] == "empirical_covariance_band"] == [band]
 
 
 def test_full_rank_and_hand_built_batches_use_the_draws(monkeypatch):
