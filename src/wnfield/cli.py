@@ -19,6 +19,7 @@ the sidecars; files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -199,11 +200,20 @@ _Validator = jsonschema.validators.extend(
 )
 
 
-def _validate(document, schema: dict, what: str):
-    try:
-        jsonschema.validate(document, schema, cls=_Validator)
-    except jsonschema.ValidationError as exc:
-        raise UsageError(f"{what} schema violation at {exc.json_path}: {exc.message}") from exc
+@functools.cache
+def _validator(what: str):
+    """The validator of the ``what`` schema, built once, after its own
+    check against the draft 2020-12 metaschema."""
+    schema = {"config": CONFIG_SCHEMA, "integrand": INTEGRAND_SCHEMA}[what]
+    _Validator.check_schema(schema)
+    return _Validator(schema)
+
+
+def _validate(document, what: str):
+    """Raise the error ``jsonschema.validate`` would, as a ``UsageError``."""
+    error = jsonschema.exceptions.best_match(_validator(what).iter_errors(document))
+    if error is not None:
+        raise UsageError(f"{what} schema violation at {error.json_path}: {error.message}")
 
 
 def load_config(path: str, args) -> dict:
@@ -212,7 +222,7 @@ def load_config(path: str, args) -> dict:
     config = _read_json(path, "config")
     if isinstance(config, dict):   # anything else fails the schema as it is
         _apply_overrides(config, args)
-    _validate(config, CONFIG_SCHEMA, "config")
+    _validate(config, "config")
     return {**CONFIG_DEFAULTS, **config}
 
 
@@ -306,9 +316,45 @@ def _write_atomic(path: Path, write):
         raise
 
 
+def _json_pieces(obj, level: int = 0):
+    """The text of ``json.dump(obj, indent=2, allow_nan=False)``, piece by
+    piece. A list of floats, or a row of a float array, is one piece; empty
+    containers and other scalars are ``json.dumps``'s text."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist() if obj.ndim == 1 else list(obj)
+    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key, value in obj.items():
+            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _json_pieces(value, level + 1)
+            sep = "," + inner
+        yield close + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {float}:
+            if not all(map(math.isfinite, obj)):
+                _float_text(next(x for x in obj if not math.isfinite(x)))   # raises
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + close + "]"
+            return
+        sep = "[" + inner
+        for item in obj:
+            yield sep
+            yield from _json_pieces(item, level + 1)
+            sep = "," + inner
+        yield close + "]"
+    else:
+        yield _float_text(obj) if isinstance(obj, float) else json.dumps(obj)
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
 def _write_json(path: Path, payload: dict):
     def write(fh):
-        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.writelines(_json_pieces(payload))
         fh.write("\n")
 
     try:
@@ -352,8 +398,8 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
     h = spectral.factorize(dec, gauge=config["gauge"], seed=config["gauge_seed"])
     trace = kernels.trace_of_operator(C, space)
     _write_json(out_dir / "decomposition.json", {
-        "eigenvalues": dec.eigenvalues.tolist(),
-        "eigenfunctions": dec.eigenfunctions.T.tolist(),
+        "eigenvalues": dec.eigenvalues,
+        "eigenfunctions": dec.eigenfunctions.T,
         "rank": dec.rank,
         "dropped_mass": dec.dropped_mass,
         "clamped_mass": dec.clamped_mass,
@@ -439,7 +485,7 @@ def _load_integrand(config: dict, args) -> dict:
         spec = config.get("integrate", {}).get("integrand")
     if not spec:
         raise UsageError("no integrand given (config integrate.integrand or --integrand FILE)")
-    _validate(spec, INTEGRAND_SCHEMA, "integrand")
+    _validate(spec, "integrand")
     if bool(spec.get("components")) == bool(spec.get("field_values")):
         raise UsageError("integrand needs exactly one of 'components' or 'field_values'")
     return spec
@@ -538,7 +584,7 @@ def cmd_tangent(config: dict, out_dir: Path, base_dir: Path) -> int:
         "t_index": options["t_index"],
         "offsets": list(options["offsets"]),
         "r": options["r"],
-        "gram": gram.tolist(),
+        "gram": gram,
     }
     _write_json(out_dir / "tangent.json", payload)
     print("rescaled-increment Gram matrix:")

@@ -18,6 +18,7 @@ evaluation under the coefficient inner product.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,7 +365,8 @@ def decompose(
     except OverflowError:   # an int past the float range
         valid = False
     if not valid:
-        raise InvalidParameterError(f"drop_tol must be finite and >= 0, got {drop_tol!r}")
+        raise InvalidParameterError(   # reprlib clips a huge integer to 40 characters
+            f"drop_tol must be finite and >= 0, got {reprlib.repr(drop_tol)}")
     drop_tol = float(drop_tol)
     C = np.asarray(C, dtype=float)
     n = space.size

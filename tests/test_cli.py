@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,6 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wnfield import cli, field, spectral, verify
 from wnfield.cli import main
@@ -254,6 +258,52 @@ def test_write_json_streams_and_leaves_nothing_on_failure(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                                1e-5, 0.1, 1e16, -1e16, 1e300, 1.7976931348623157e308])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+_FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                        max_side=4), elements=_FLOATS)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64) | st.text()
+    | st.lists(_FLOATS) | _FLOAT_ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+def _as_lists(payload):
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: _as_lists(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_as_lists(item) for item in payload]
+    return payload
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_PAYLOADS)
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path, payload):
+    cli._write_json(tmp_path / "out.json", payload)
+    expected = json.dumps(_as_lists(payload), indent=2) + "\n"
+    assert (tmp_path / "out.json").read_bytes() == expected.encode()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_PAYLOADS, bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+       matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                       max_side=4), elements=_FLOATS),
+       data=st.data())
+def test_write_json_rejects_any_non_finite_float(tmp_path, payload, bad, matrix, data):
+    matrix = matrix.copy()
+    matrix[data.draw(st.integers(0, matrix.shape[0] - 1)),
+           data.draw(st.integers(0, matrix.shape[1] - 1))] = bad
+    for where in ({"x": bad}, [1.0, bad], [bad, 1], {"a": [payload, {"m": matrix}]},
+                  {"a": [payload, {"m": matrix.tolist()}]}, {"v": np.float64(bad)}):
+        with pytest.raises(NumericError, match="non-finite"):
+            cli._write_json(tmp_path / "bad.json", where)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_zero_covariance_all_pass(tmp_path):
     # rank 0: every identity holds with an empty factor
     np.savetxt(tmp_path / "zero.csv", np.zeros((3, 3)), delimiter=",")
@@ -443,7 +493,8 @@ def test_huge_integer_drop_tol_exits_2(tmp_path, capsys):
         '"drop_tol": 1' + "0" * 400 + "}")
     assert main(["factorize", "--config", str(tmp_path / "big.json"),
                  "--out", str(tmp_path)]) == 2
-    assert "drop_tol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "drop_tol" in err and len(err) < 200
     assert not (tmp_path / "decomposition.json").exists()
 
 
@@ -528,6 +579,25 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     })
     assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+def test_each_schema_is_checked_once(tmp_path, monkeypatch):
+    checked = []
+    check_schema = cli._Validator.check_schema
+
+    def counting(schema, *args, **kwargs):
+        checked.append(id(schema))
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Validator, "check_schema", counting)
+    monkeypatch.setattr(cli.jsonschema, "validate", None)   # its metaschema check is per call
+    cli._validator.cache_clear()
+    cfg = bm_config(tmp_path, n=8, extra={"integrate": {"integrand": {"components": ["x1"]}}})
+    args = argparse.Namespace(seed=None, truncate=None, gauge=None, integrand=None)
+    for _ in range(2):
+        config = cli.load_config(cfg, args)
+    cli._load_integrand(config, args)
+    assert sorted(checked) == sorted([id(cli.CONFIG_SCHEMA), id(cli.INTEGRAND_SCHEMA)])
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
