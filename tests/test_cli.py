@@ -640,3 +640,50 @@ def test_bad_custom_space_exits_2(tmp_path, capsys):
         "kernel": {"name": "brownian_motion"},
     })
     assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+#: command, config keys over a Brownian motion on 8 nodes, flags, files
+#: beside the config, exit code, and a fragment of the one stderr line (for
+#: exit 0, the truncation that samples_meta.json records)
+CLI_BRANCHES = [
+    pytest.param("factorize", {"kernel": {"name": "custom"}}, [], {}, 2,
+                 "custom kernel requires a 'file'", id="custom-kernel-without-file"),
+    pytest.param("factorize", {"kernel": {"name": "custom", "file": "absent.csv"}}, [], {}, 2,
+                 "cannot read kernel matrix", id="custom-kernel-unreadable"),
+    pytest.param("factorize", {"kernel": {"name": "custom", "file": "k.csv"}}, [],
+                 {"k.csv": "1,x\n"}, 1, "is not numeric CSV", id="custom-kernel-not-numeric"),
+    pytest.param("factorize", {"kernel": {"name": "matern"}}, [], {}, 2,
+                 "unknown kernel 'matern'; builtins are brownian_motion, brownian_bridge, fbm, "
+                 "squared_exponential, white_diagonal", id="unknown-kernel"),
+    pytest.param("sample", {}, ["--truncate", "3"], {}, 0, 3, id="truncate-flag"),
+    pytest.param("sample", {}, ["--gauge", "rotated:abc"], {}, 2,
+                 "bad gauge spec 'rotated:abc': seed must be an integer", id="gauge-seed-not-int"),
+    pytest.param("sample", {"truncate": 9}, [], {}, 2, "truncation m=9 out of range [0, 8]",
+                 id="truncate-above-rank"),
+    pytest.param("verify", {"verify": {"factor_file": "absent.csv"}}, [], {}, 1,
+                 "cannot read factor file", id="factor-file-missing"),
+    pytest.param("verify", {"verify": {"factor_file": "f.csv"}}, [], {"f.csv": "k1,k2\n1,2\n"}, 1,
+                 "factor file shape (1, 2) does not match (8, 8)", id="factor-file-shape"),
+    pytest.param("integrate", {"integrate": {"integrand": {"components": ["1"] * 9}}}, [], {}, 1,
+                 "integrand has 9 components but the decomposition rank is 8",
+                 id="more-components-than-rank"),
+    pytest.param("tangent", {}, [], {}, 2,
+                 "tangent command needs a 'tangent' section", id="tangent-without-section"),
+    pytest.param("tangent", {"tangent": {"t_index": 8, "offsets": [1], "r": 0.5}}, [], {}, 2,
+                 "base index 8 out of range for size 8", id="tangent-index-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("command,extra,flags,files,code,expected", CLI_BRANCHES)
+def test_cli_branch_exit_codes(tmp_path, capsys, command, extra, flags, files, code, expected):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                 "--out", str(out), *flags]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert json.loads((out / "samples_meta.json").read_text())["truncation"] == expected
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
