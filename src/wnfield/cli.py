@@ -254,24 +254,14 @@ def build_kernel(config: dict, base_dir: Path) -> kernels.CovarianceKernel:
             return kernels.matrix_kernel(entries)
         except InvalidParameterError as exc:
             raise DataError(str(exc)) from exc
-    try:
-        return kernels.builtin_kernel(name, spec.get("params"))
-    except (UnknownKernelError, InvalidParameterError) as exc:
-        raise UsageError(str(exc)) from exc
+    return kernels.builtin_kernel(name, spec.get("params"))
 
 
-def assemble_and_decompose(config: dict, base_dir: Path):
-    """Space, covariance matrix, and decomposition from a config."""
+def _decompose(config: dict, base_dir: Path):
+    """The config's covariance matrix C and its decomposition."""
     space = build_space(config)
     C = kernels.assemble(build_kernel(config, base_dir), space)
-    return space, C, spectral.decompose(C, space, drop_tol=config["drop_tol"])
-
-
-def _build_field(config: dict, base_dir: Path) -> field.GaussianField:
-    """The config's field under its gauge."""
-    return field.build_field(space=build_space(config), kernel=build_kernel(config, base_dir),
-                             gauge=config["gauge"], drop_tol=config["drop_tol"],
-                             gauge_seed=config["gauge_seed"])
+    return C, spectral.decompose(C, space, drop_tol=config["drop_tol"])
 
 
 def _apply_overrides(config: dict, args):
@@ -394,9 +384,9 @@ def _long_table(draws: np.ndarray):
 
 
 def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
-    space, C, dec = assemble_and_decompose(config, base_dir)
-    h = spectral.factorize(dec, gauge=config["gauge"], seed=config["gauge_seed"])
-    trace = kernels.trace_of_operator(C, space)
+    C, dec = _decompose(config, base_dir)
+    h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
+    trace = kernels.trace_of_operator(C, dec.space)
     _write_json(out_dir / "decomposition.json", {
         "eigenvalues": dec.eigenvalues,
         "eigenfunctions": dec.eigenfunctions.T,
@@ -416,7 +406,9 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
 
 
 def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
-    fld = _build_field(config, base_dir)
+    dec = _decompose(config, base_dir)[1]
+    h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
+    fld = field.GaussianField(dec.space, dec, h)
     options = config.get("sample", {})
     n_draws = options.get("n_draws", 100)
     seed = config["seed"]
@@ -455,13 +447,17 @@ def _read_factor(file: str, base_dir: Path, dec) -> spectral.WhiteNoiseKernel:
         raise DataError(
             f"factor file shape {F.shape} does not match ({dec.space.size}, {dec.rank})"
         )
+    bad = np.argwhere(~np.isfinite(F))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"factor file {path} is not finite at entry ({i}, {j})")
     return spectral.WhiteNoiseKernel(factor=F, gauge="file")
 
 
 def cmd_verify(config: dict, out_dir: Path, base_dir: Path) -> int:
     options = dict(config.get("verify", {}))
     factor_file = options.pop("factor_file", None)
-    _, C, dec = assemble_and_decompose(config, base_dir)
+    C, dec = _decompose(config, base_dir)
     checks = verify.battery(
         C, dec, gauge=config["gauge"], gauge_seed=config["gauge_seed"], seed=config["seed"],
         external_factor=_read_factor(factor_file, base_dir, dec) if factor_file else None,
@@ -493,7 +489,7 @@ def _load_integrand(config: dict, args) -> dict:
 
 def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
     spec = _load_integrand(config, args)
-    _, _, dec = assemble_and_decompose(config, base_dir)
+    dec = _decompose(config, base_dir)[1]
     seed = config["seed"]
     n_draws = config.get("integrate", {}).get("n_draws", 10000)
 
@@ -573,7 +569,9 @@ def cmd_tangent(config: dict, out_dir: Path, base_dir: Path) -> int:
     options = config.get("tangent")
     if not options:
         raise UsageError("tangent command needs a 'tangent' section in the config")
-    fld = _build_field(config, base_dir)
+    dec = _decompose(config, base_dir)[1]
+    h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
+    fld = field.GaussianField(dec.space, dec, h)
     try:
         gram = field.tangent_gram(
             fld, options["t_index"], options["offsets"], options["r"]
@@ -630,14 +628,17 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
         base_dir = Path(args.config).resolve().parent
         if args.command == "integrate":
             return cmd_integrate(config, out_dir, base_dir, args)
         command = {"factorize": cmd_factorize, "sample": cmd_sample,
                    "verify": cmd_verify, "tangent": cmd_tangent}[args.command]
         return command(config, out_dir, base_dir)
-    except (UsageError, InvalidParameterError) as exc:
+    except (UsageError, InvalidParameterError, UnknownKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, NumericError, NotInRkhsError, DimensionMismatchError,

@@ -88,14 +88,6 @@ def _make_squared_exponential(length_scale: float):
     return sqexp
 
 
-def _reject_extras(name: str, params: Mapping[str, float], allowed: tuple[str, ...]):
-    extras = set(params) - set(allowed)
-    if extras:
-        raise InvalidParameterError(
-            f"kernel '{name}' does not take parameters {sorted(extras)}"
-        )
-
-
 def _make_white_diagonal(sigma2: float):
     def white(s, t):
         eq = s == t
@@ -104,6 +96,22 @@ def _make_white_diagonal(sigma2: float):
         return np.where(eq, sigma2, 0.0)
 
     return white
+
+
+#: the builtins, in the order ``builtin_kernel_names`` lists them: each
+#: name maps to the factory of its evaluator, which takes the parameters by
+#: keyword, and to (default, low, high, message) per parameter. A value is
+#: valid when low < value < high (no upper bound when high is None), so NaN
+#: never is; the message is formatted with the rejected value.
+_BUILTINS = {
+    "brownian_motion": (lambda: _brownian_motion, {}),
+    "brownian_bridge": (lambda: _brownian_bridge, {}),
+    "fbm": (_make_fbm, {"hurst": (0.5, 0.0, 1.0, "fbm hurst must lie in (0, 1), got {}")}),
+    "squared_exponential": (_make_squared_exponential, {
+        "length_scale": (1.0, 0.0, None, "length_scale must be > 0, got {}")}),
+    "white_diagonal": (_make_white_diagonal, {
+        "sigma2": (1.0, 0.0, None, "sigma2 must be > 0, got {}")}),
+}
 
 
 def builtin_kernel(name: str, params: Mapping[str, float] | None = None) -> CovarianceKernel:
@@ -115,48 +123,33 @@ def builtin_kernel(name: str, params: Mapping[str, float] | None = None) -> Cova
         One of ``brownian_motion``, ``brownian_bridge``, ``fbm``,
         ``squared_exponential``, ``white_diagonal``.
     params : mapping, optional
-        ``fbm`` takes ``hurst`` in (0, 1); ``squared_exponential`` takes
-        ``length_scale`` > 0 (default 1.0); ``white_diagonal`` takes
-        ``sigma2`` > 0 (default 1.0). The Brownian kernels take none.
+        ``fbm`` takes ``hurst`` in (0, 1) (default 0.5);
+        ``squared_exponential`` takes ``length_scale`` > 0 (default 1.0);
+        ``white_diagonal`` takes ``sigma2`` > 0 (default 1.0). The Brownian
+        kernels take none. NaN is outside every range.
     """
+    if name not in _BUILTINS:
+        raise UnknownKernelError(
+            f"unknown kernel '{name}'; builtins are {', '.join(builtin_kernel_names())}"
+        )
+    factory, ranges = _BUILTINS[name]
     params = dict(params or {})
-    if name == "brownian_motion":
-        _reject_extras(name, params, ())
-        return CovarianceKernel(name, _brownian_motion)
-    if name == "brownian_bridge":
-        _reject_extras(name, params, ())
-        return CovarianceKernel(name, _brownian_bridge)
-    if name == "fbm":
-        _reject_extras(name, params, ("hurst",))
-        hurst = float(params.get("hurst", 0.5))
-        if not 0.0 < hurst < 1.0:
-            raise InvalidParameterError(f"fbm hurst must lie in (0, 1), got {hurst}")
-        return CovarianceKernel(name, _make_fbm(hurst), {"hurst": hurst})
-    if name == "squared_exponential":
-        _reject_extras(name, params, ("length_scale",))
-        ell = float(params.get("length_scale", 1.0))
-        if ell <= 0.0:
-            raise InvalidParameterError(f"length_scale must be > 0, got {ell}")
-        return CovarianceKernel(name, _make_squared_exponential(ell), {"length_scale": ell})
-    if name == "white_diagonal":
-        _reject_extras(name, params, ("sigma2",))
-        sigma2 = float(params.get("sigma2", 1.0))
-        if sigma2 <= 0.0:
-            raise InvalidParameterError(f"sigma2 must be > 0, got {sigma2}")
-        return CovarianceKernel(name, _make_white_diagonal(sigma2), {"sigma2": sigma2})
-    raise UnknownKernelError(
-        f"unknown kernel '{name}'; builtins are {', '.join(builtin_kernel_names())}"
-    )
+    extras = set(params) - set(ranges)
+    if extras:
+        raise InvalidParameterError(
+            f"kernel '{name}' does not take parameters {sorted(extras)}"
+        )
+    values = {}
+    for key, (default, low, high, message) in ranges.items():
+        value = float(params.get(key, default))
+        if not (low < value and (high is None or value < high)):
+            raise InvalidParameterError(message.format(value))
+        values[key] = value
+    return CovarianceKernel(name, factory(**values), values)
 
 
 def builtin_kernel_names() -> tuple[str, ...]:
-    return (
-        "brownian_motion",
-        "brownian_bridge",
-        "fbm",
-        "squared_exponential",
-        "white_diagonal",
-    )
+    return tuple(_BUILTINS)
 
 
 def _upper_tiles(n: int):

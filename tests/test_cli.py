@@ -687,3 +687,33 @@ def test_cli_branch_exit_codes(tmp_path, capsys, command, extra, flags, files, c
         assert json.loads((out / "samples_meta.json").read_text())["truncation"] == expected
     else:
         assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
+
+
+@pytest.mark.parametrize("command", ["factorize", "sample", "verify", "integrate", "tangent"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command, below):
+    blocker = tmp_path / "afile"
+    blocker.touch()
+    out = blocker / "sub" if below else blocker
+    assert main([command, "--config", bm_config(tmp_path, n=8), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    reason = "Not a directory" if below else "File exists"
+    assert err == f"error: cannot create output directory {out}: {reason}\n"
+    assert blocker.read_bytes() == b""
+
+
+def test_verify_non_finite_factor_file_exits_1(tmp_path, capsys):
+    cfg = bm_config(tmp_path, n=8, extra={"verify": {"n_draws": 200, "factor_file": "factor.csv"}})
+    assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    factor_path = tmp_path / "factor.csv"
+    lines = factor_path.read_text().splitlines()
+    for row, col, text in ((3, 5, "nan"), (3, 6, "inf"), (6, 0, "nan")):
+        cells = lines[row].split(",")
+        cells[col] = text
+        lines[row] = ",".join(cells)
+    factor_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    # the header is line 0, so data row 2 holds the first non-finite entry
+    assert capsys.readouterr().err == f"error: factor file {factor_path} is not finite at entry (2, 5)\n"
+    assert not (tmp_path / "out" / "verification.json").exists()

@@ -34,7 +34,7 @@ ALL_KERNELS = [
 
 
 def test_builtin_names_complete():
-    assert set(builtin_kernel_names()) == {name for name, _ in ALL_KERNELS}
+    assert builtin_kernel_names() == tuple(name for name, _ in ALL_KERNELS)
 
 
 def test_brownian_motion_is_min():
@@ -102,6 +102,40 @@ def test_fbm_hurst_range():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(InvalidParameterError):
             builtin_kernel("fbm", {"hurst": bad})
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("fbm", {"hurst": 1.0}, "fbm hurst must lie in (0, 1), got 1.0"),
+    ("fbm", {"hurst": float("nan")}, "fbm hurst must lie in (0, 1), got nan"),
+    ("squared_exponential", {"length_scale": 0}, "length_scale must be > 0, got 0.0"),
+    ("squared_exponential", {"length_scale": -2.5}, "length_scale must be > 0, got -2.5"),
+    ("squared_exponential", {"length_scale": float("nan")}, "length_scale must be > 0, got nan"),
+    ("white_diagonal", {"sigma2": -1e-300}, "sigma2 must be > 0, got -1e-300"),
+    ("white_diagonal", {"sigma2": float("nan")}, "sigma2 must be > 0, got nan"),
+    ("brownian_motion", {"hurst": 0.5}, "kernel 'brownian_motion' does not take parameters ['hurst']"),
+    ("fbm", {"hurst": 0.7, "b": 1, "a": 2}, "kernel 'fbm' does not take parameters ['a', 'b']"),
+])
+def test_parameter_out_of_range_message(name, params, message):
+    with pytest.raises(InvalidParameterError) as info:
+        builtin_kernel(name, params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name,params,stored", [
+    ("brownian_motion", None, {}),
+    ("brownian_bridge", {}, {}),
+    ("fbm", None, {"hurst": 0.5}),
+    ("fbm", {"hurst": 1e-300}, {"hurst": 1e-300}),
+    ("squared_exponential", None, {"length_scale": 1.0}),
+    ("squared_exponential", {"length_scale": 3}, {"length_scale": 3.0}),
+    ("white_diagonal", None, {"sigma2": 1.0}),
+    ("white_diagonal", {"sigma2": 1e300}, {"sigma2": 1e300}),
+])
+def test_builtin_params_are_stored_as_floats(name, params, stored):
+    kernel = builtin_kernel(name, params)
+    assert kernel.name == name and kernel.matrix is None
+    assert kernel.params == stored
+    assert all(type(value) is float for value in kernel.params.values())
 
 
 def test_unexpected_parameters_rejected():
