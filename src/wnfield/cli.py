@@ -291,19 +291,22 @@ def _apply_overrides(config: dict, args):
 
 def _write_atomic(path: Path, write):
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it
-    over ``path``; on any error the temp file is removed. The temp file is
-    created with mode 0666 less the umask, as ``open`` would create
-    ``path``, and the rename keeps that mode."""
+    over ``path``; on any error the temp file is removed, and an ``OSError``
+    from creating, writing or renaming it becomes a ``UsageError`` naming
+    ``path``. The temp file is created with mode 0666 less the umask, as
+    ``open`` would create ``path``, and the rename keeps that mode."""
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):   # not renamed over path: an error
+                os.unlink(tmp)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _json_pieces(obj, level: int = 0):

@@ -4,17 +4,14 @@ Draws are generated from the series B = sum_k xi_k h_k, where h_k are the
 columns of the field's white-noise factor and xi_k are i.i.d. standard
 normals. Noise is addressed positionally in a counter-based stream keyed by
 the seed: draw r always owns the same counter-block range, so batches are
-reproducible, order independent under parallel generation, and truncations
+reproducible, any row range can be regenerated on its own, and truncations
 at the same seed share their noise with the full series. Noise is filled
-by row ranges on every CPU the process may use and consumed in row blocks
-(``noise_blocks``), so a batch never needs more than one block of noise.
+from one serial stream and consumed in row blocks (``noise_blocks``), so a
+batch never needs more than one block of noise.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,49 +100,13 @@ _BLOCK_VARIATES = 2**21
 #: time (n 128-2048, N 500-20000, 2 CPUs), the switch falls at m between
 #: about n/8 and n/3
 _VARIATE_MADDS = 1000
-#: fewest variates worth a worker thread, and the most one worker buffers
-#: at a time when the stride leaves uniforms unused
+#: most variates buffered at a time when the stride leaves uniforms unused
 _CHUNK_VARIATES = 2**16
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_WORKERS = _cpu_count()
-
-
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="wnfield-noise")
-
-
-if hasattr(os, "register_at_fork"):   # POSIX: a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _row_width(stride: int) -> int:
     """Uniforms a stream row owns: one Philox counter block yields 4."""
     return 4 * max(1, -(-stride // 4))
-
-
-def _fill_rows(out: np.ndarray, seed: int, row0: int, width: int):
-    """Write stream rows row0, row0 + 1, ... (first ``out.shape[1]`` variates
-    of each) into ``out`` in place. Philox and ``ndtri`` release the GIL."""
-    rows, m = out.shape
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(row0 * width // 4)
-    gen = np.random.Generator(bitgen)
-    step = rows if m == width else max(1, _CHUNK_VARIATES // width)
-    for r0 in range(0, rows, step):
-        dest = out[r0:r0 + step]
-        u = dest if m == width else np.empty((len(dest), width))
-        gen.random(out=u)
-        np.maximum(u, 2.0**-53, out=u)   # ndtri(0) = -inf; probability 2^-53 per variate
-        ndtri(u[:, :m], out=dest)
 
 
 def noise_matrix(
@@ -160,9 +121,8 @@ def noise_matrix(
     Each row owns ceil(stride / 4) Philox counter blocks and exposes the
     first ``m`` variates, transformed by the normal inverse CDF (fixed
     consumption of one stream position per variate keeps rows addressable:
-    any row range can be regenerated independently). A large call is split
-    into one row range per CPU the process may use, each filled from its
-    own stream position, so the result is the same for any number of CPUs.
+    any row range can be regenerated independently). Rows are filled in
+    order from one stream advanced to ``row_start``.
     """
     if stride is None:
         stride = m
@@ -172,13 +132,16 @@ def noise_matrix(
         raise ValueError("need at least one draw")
     width = _row_width(stride)
     out = np.empty((n_draws, m))
-    parts = min(_WORKERS, n_draws * width // _CHUNK_VARIATES)
-    if parts <= 1:
-        _fill_rows(out, seed, row_start, width)
-    else:
-        bounds = [n_draws * i // parts for i in range(parts + 1)]
-        list(_pool().map(lambda a, b: _fill_rows(out[a:b], seed, row_start + a, width),
-                         bounds[:-1], bounds[1:]))
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(row_start * width // 4)
+    gen = np.random.Generator(bitgen)
+    step = n_draws if m == width else max(1, _CHUNK_VARIATES // width)
+    for r0 in range(0, n_draws, step):
+        dest = out[r0:r0 + step]
+        u = dest if m == width else np.empty((len(dest), width))
+        gen.random(out=u)
+        np.maximum(u, 2.0**-53, out=u)   # ndtri(0) = -inf; probability 2^-53 per variate
+        ndtri(u[:, :m], out=dest)
     return out
 
 
@@ -194,8 +157,7 @@ def noise_blocks(n_draws: int, m: int, seed: int, stride: int | None = None):
 
 def noise_gram(n_draws: int, m: int, seed: int, stride: int | None = None) -> np.ndarray:
     """Gram matrix xi^T xi of ``noise_matrix(n_draws, m, seed, stride=stride)``,
-    summed one ``noise_blocks`` block at a time with one block held. Blocks
-    do not depend on the CPU count, so neither do the bits of G.
+    summed one ``noise_blocks`` block at a time with one block held.
     """
     G = np.zeros((m, m))
     for _, xi in noise_blocks(n_draws, m, seed, stride):

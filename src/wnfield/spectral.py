@@ -135,11 +135,12 @@ class RkhsElement:
 def _sign_fix(V: np.ndarray) -> np.ndarray:
     """Flip columns so the first component with |v| > threshold is positive."""
     V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        big = np.nonzero(np.abs(col) > SIGN_FIX_THRESHOLD)[0]
-        if big.size and col[big[0]] < 0.0:
-            V[:, k] = -col
+    big = V > SIGN_FIX_THRESHOLD
+    big |= V < -SIGN_FIX_THRESHOLD
+    first = big.argmax(axis=0)   # 0 for a column with no big entry
+    cols = np.arange(V.shape[1])
+    flip = big[first, cols] & (V[first, cols] < 0.0)
+    np.negative(V, out=V, where=flip)
     return V
 
 

@@ -702,6 +702,24 @@ def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command, below):
     assert blocker.read_bytes() == b""
 
 
+@pytest.mark.parametrize("command,first_output,extra", [
+    ("factorize", "decomposition.json", {}),
+    ("sample", "samples.csv", {"sample": {"n_draws": 3}}),
+    ("verify", "verification.json", {"verify": {"n_draws": 200}}),
+    ("integrate", "integral.json",
+     {"integrate": {"n_draws": 10, "integrand": {"components": ["1"]}}}),
+    ("tangent", "tangent.json", {"tangent": {"t_index": 2, "offsets": [1], "r": 0.5}}),
+])
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, first_output, extra):
+    out = tmp_path / "out"
+    (out / first_output).mkdir(parents=True)
+    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / first_output}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == [first_output]   # no temp file left
+    assert not any((out / first_output).iterdir())
+
+
 def test_verify_non_finite_factor_file_exits_1(tmp_path, capsys):
     cfg = bm_config(tmp_path, n=8, extra={"verify": {"n_draws": 200, "factor_file": "factor.csv"}})
     assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 0

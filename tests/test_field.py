@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -185,17 +186,15 @@ def test_noise_rows_are_order_independent():
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.integers(1, 200), st.integers(1, 40), st.data(), st.integers(0, 10**6),
-       st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 600), st.integers(1, 900))
+       st.integers(0, 2**64 - 1), st.integers(1, 600), st.integers(1, 900))
 def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed,
-                                          workers, chunk, block):
+                                          chunk, block):
     m = data.draw(st.integers(0, stride))
     with pytest.MonkeyPatch.context() as mp:
-        # one piece on one thread: the reference
-        mp.setattr(field, "_WORKERS", 1)
+        # one piece: the reference
         mp.setattr(field, "_CHUNK_VARIATES", 2**62)
         ref = noise_matrix(n_draws, m, seed, row_start, stride)
         ref0 = noise_matrix(n_draws, m, seed, 0, stride)
-        mp.setattr(field, "_WORKERS", workers)
         mp.setattr(field, "_CHUNK_VARIATES", chunk)
         mp.setattr(field, "_BLOCK_VARIATES", block)
         assert np.array_equal(noise_matrix(n_draws, m, seed, row_start, stride), ref)
@@ -203,7 +202,7 @@ def test_noise_is_identical_for_any_split(n_draws, stride, data, row_start, seed
         gram = noise_gram(n_draws, m, seed, stride)
     assert starts == tuple(np.cumsum([0, *map(len, rows[:-1])]))
     assert np.array_equal(np.vstack(rows), ref0)
-    # the Gram matrix sums one block at a time, whatever the workers and chunks
+    # the Gram matrix sums one block at a time, whatever the chunks
     step = max(1, block // field._row_width(stride))
     expected = np.zeros((m, m))
     for r0 in range(0, n_draws, step):
@@ -215,13 +214,23 @@ def test_sample_in_ragged_blocks(monkeypatch):
     fld = build_field(builtin_kernel("fbm", {"hurst": 0.3}), interval_grid(24))
     rank = fld.dec.rank
     monkeypatch.setattr(field, "_BLOCK_VARIATES", 7 * 24)   # 7 rows per block: 50 = 7*7 + 1
-    monkeypatch.setattr(field, "_WORKERS", 3)
     monkeypatch.setattr(field, "_CHUNK_VARIATES", 16)
     for m in (rank, rank // 2):
         draws = sample(fld, 50, m, seed=4).draws
         assert np.array_equal(sample(fld, 50, m, seed=4).draws, draws)
         series = noise_matrix(50, m, 4, stride=rank) @ fld.factor.factor[:, :m].T
         assert np.max(np.abs(draws - series)) <= 1e-12 * np.max(np.abs(series))
+
+
+def test_noise_starts_no_threads():
+    before = threading.enumerate()
+    noise_matrix(20000, 64, 1)
+    noise_gram(20000, 64, 1)
+    fld = build_field(builtin_kernel("brownian_motion"), interval_grid(64))
+    assert fld.dec.rank == 64
+    sample(fld, 20000, seed=1)
+    assert threading.enumerate() == before
+    assert not [t.name for t in before if t.name.startswith("wnfield-noise")]
 
 
 @st.composite

@@ -353,6 +353,35 @@ def test_sign_convention():
         assert first_big > 0.0
 
 
+def test_sign_fix_on_random_columns():
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((40, 8))
+    V[:5] *= 1e-9                                    # leading entries below the threshold
+    V[:, 1] = rng.uniform(-1e-8, 1e-8, 40)           # no entry above it
+    V[0, 1] = -1e-9
+    V[:6, 2], V[6, 2] = -0.0, -0.5                   # -0.0 ahead of a negative big entry
+    V[:2, 3] = -1e-8, 0.25                           # exactly -1e-8 is not big
+    V[:2, 4] = -1e-8, -0.25
+    V[:, 5] = -0.0
+    before = V.copy()
+    W = spectral._sign_fix(V)
+    assert np.array_equal(V, before) and np.array_equal(np.signbit(V), np.signbit(before))
+    expected = V.copy()
+    for k in range(V.shape[1]):
+        big = np.flatnonzero(np.abs(V[:, k]) > 1e-8)
+        if big.size and V[big[0], k] < 0.0:
+            expected[:, k] = -V[:, k]
+        if big.size:
+            assert W[big[0], k] > 0.0
+    assert np.array_equal(W, expected) and np.array_equal(np.signbit(W), np.signbit(expected))
+    for k in (1, 3, 5):                              # left as they were, bit for bit
+        assert np.array_equal(np.signbit(W[:, k]), np.signbit(V[:, k]))
+        assert np.array_equal(W[:, k], V[:, k])
+    for k in (2, 4):
+        assert np.array_equal(W[:, k], -V[:, k])
+    assert not np.signbit(W[:6, 2]).any()
+
+
 def test_degenerate_cluster_order_is_stable():
     _, _, dec = _decompose_builtin("white_diagonal", {"sigma2": 2.0}, 8)
     assert np.allclose(dec.eigenvalues, 2.0 / 8.0, atol=1e-14)
