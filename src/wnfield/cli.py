@@ -23,8 +23,13 @@ import functools
 import json
 import math
 import os
+import pickle
 import secrets
+import shutil
+import signal
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -289,24 +294,193 @@ def _apply_overrides(config: dict, args):
 # -- output plumbing ------------------------------------------------------
 
 
-def _write_atomic(path: Path, write):
-    """Call ``write(fh)`` on a temp file beside ``path``, then rename it
-    over ``path``; on any error the temp file is removed, and an ``OSError``
-    from creating, writing or renaming it becomes a ``UsageError`` naming
-    ``path``. The temp file is created with mode 0666 less the umask, as
-    ``open`` would create ``path``, and the rename keeps that mode."""
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+#: numbers a forked piece of output formats at least; a command whose
+#: outputs hold fewer is formatted in this process alone
+_PIECE_VALUES = 2**16
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or cannot tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@dataclass(frozen=True)
+class _Output:
+    """One output file of ``rows`` rows of ``width`` numbers each;
+    ``write(fh, r0, r1)`` writes the text of rows r0 to r1, so a file made
+    of consecutive row ranges holds the text of the whole."""
+    path: Path
+    rows: int
+    width: int
+    write: Callable
+
+
+def _json_output(path: Path, payload) -> _Output:
+    """``payload`` as ``json.dump(indent=2, allow_nan=False)`` writes it,
+    one row that is never split."""
+    def write(fh, r0, r1):
         try:
-            with os.fdopen(fd, "w") as fh:
-                write(fh)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):   # not renamed over path: an error
-                os.unlink(tmp)
+            fh.writelines(_json_pieces(payload))
+        except ValueError as exc:
+            raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
+        fh.write("\n")
+
+    values = payload.values() if isinstance(payload, dict) else [payload]
+    return _Output(path, 1, sum(v.size if isinstance(v, np.ndarray) else 1 for v in values),
+                   write)
+
+
+def _csv_output(path: Path, header: str, rows: int, width: int, blocks) -> _Output:
+    """A header line, then the rows of each 2-D array of ``blocks(r0, r1)``,
+    as ``np.savetxt`` formats them; the header goes with row 0."""
+    def write(fh, r0, r1):
+        if r0 == 0:
+            fh.write(header + "\n")
+        for block in blocks(r0, r1):
+            np.savetxt(fh, block, delimiter=",", fmt="%.15g")
+
+    return _Output(path, rows, width, write)
+
+
+def _pieces(outputs: list[_Output], count: int) -> list[list[tuple[int, int, int]]]:
+    """The rows of ``outputs``, numbered on through the files in order, cut
+    into at most ``count`` runs of about equal numbers of values; a piece
+    is its run as (output index, first row, end row) per output it meets."""
+    total = sum(o.rows * o.width for o in outputs)
+    targets = [total * j / count for j in range(1, count)]
+    cuts, first, done = [], 0, 0
+    for o in outputs:
+        size = o.rows * o.width
+        while targets and targets[0] < done + size:
+            cuts.append(first + round((targets.pop(0) - done) / o.width))
+        first, done = first + o.rows, done + size
+    pieces = []
+    for start, end in zip([0, *cuts], [*cuts, first]):
+        piece, first = [], 0
+        for i, o in enumerate(outputs):
+            r0, r1 = max(start - first, 0), min(end - first, o.rows)
+            if r0 < r1:
+                piece.append((i, r0, r1))
+            first += o.rows
+        if piece:
+            pieces.append(piece)
+    return pieces
+
+
+def _write_rows(path: Path, file: Path, write, r0: int, r1: int):
+    """Create ``file`` and write rows r0 to r1 of ``path`` to it; an
+    ``OSError`` becomes a ``UsageError`` naming ``path``. The file is
+    created with mode 0666 less the umask, as ``open`` would create
+    ``path``, and a rename keeps that mode."""
+    try:
+        fd = os.open(file, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with os.fdopen(fd, "w") as fh:
+            write(fh, r0, r1)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _fork(work):
+    """Run ``work()`` in a forked child that leaves through ``os._exit``:
+    0 when it returned, 1 after writing its pickled exception to a pipe.
+    Returns (pid, read end of that pipe), or None when fork fails."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            work()
+            status = 0
+        except BaseException as exc:   # the parent raises every error a child reports
+            with os.fdopen(write, "wb") as fh:
+                fh.write(pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int, target: Path):
+    """Wait for a child of ``_fork``: the exception it reported or, when it
+    ended without one, a ``UsageError`` naming ``target``; None on success."""
+    report = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
+    error = pickle.loads(report) if report else None   # written by this program's child
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if error is None and code:
+        error = UsageError(f"cannot write {target}: formatting process ended with status {code}")
+    return error
+
+
+def _publish(outputs: list[_Output]):
+    """Write every output atomically: each is renamed over its path, in
+    order, only after all of them are formatted.
+
+    The rows are cut into pieces (``_pieces``), one per CPU this process
+    may use, but none of fewer than ``_PIECE_VALUES`` numbers. Piece 0 is
+    formatted here while a forked child formats each other piece; a run of
+    rows from row 0 goes into the output's temp file, a later run into a
+    part file that is appended to the temp file in order. A piece whose
+    child cannot be forked is formatted here too. The error of the first
+    failed piece is raised, and no temp or part file is left.
+    """
+    count = max(1, min(_cpu_count(), sum(o.rows * o.width for o in outputs) // _PIECE_VALUES))
+    pieces = _pieces(outputs, count)
+    token = secrets.token_hex(8)
+
+    def file(i, r0):
+        path = outputs[i].path
+        return path.with_name(f"{path.name}.{token}" + (f".{r0}" if r0 else ""))
+
+    def format_piece(piece):
+        for i, r0, r1 in piece:
+            _write_rows(outputs[i].path, file(i, r0), outputs[i].write, r0, r1)
+
+    runs = [(i, r0) for piece in pieces for i, r0, _ in piece]
+    children = {}
+    try:
+        for k, piece in enumerate(pieces[1:], 1):
+            child = _fork(functools.partial(format_piece, piece))
+            if child is not None:
+                children[k] = child
+        format_piece(pieces[0])
+        for k, piece in enumerate(pieces[1:], 1):
+            if k not in children:
+                format_piece(piece)
+                continue
+            error = _reap(*children[k], outputs[piece[0][0]].path)
+            os.close(children.pop(k)[1])
+            if error is not None:
+                raise error
+        try:
+            for i, o in enumerate(outputs):   # each part onto its temp file, in order
+                for part in [file(j, r0) for j, r0 in runs if j == i and r0]:
+                    with open(file(i, 0), "ab") as fh, open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh)
+                    os.unlink(part)
+            for i, o in enumerate(outputs):
+                os.replace(file(i, 0), o.path)
+        except OSError as exc:
+            raise UsageError(f"cannot write {o.path}: {exc.strerror}") from exc
+    finally:
+        for pid, read in children.values():   # left only on an error
+            os.close(read)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):   # reaped already
+                pass
+        for i, r0 in runs:
+            if os.path.exists(file(i, r0)):   # not renamed or appended: an error
+                os.unlink(file(i, r0))
 
 
 def _json_pieces(obj, level: int = 0):
@@ -345,41 +519,28 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _write_json(path: Path, payload: dict):
-    def write(fh):
-        fh.writelines(_json_pieces(payload))
-        fh.write("\n")
-
-    try:
-        _write_atomic(path, write)
-    except ValueError as exc:
-        raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
+def _write_json(path: Path, payload):
+    _publish([_json_output(path, payload)])
 
 
-def _write_csv(path: Path, blocks, header: str):
-    """The rows of each 2-D array in ``blocks``, in order, under ``header``
-    (no header line when it is empty), as ``np.savetxt`` formats them."""
-    def write(fh):
-        if header:
-            fh.write(header + "\n")
-        for block in blocks:
-            np.savetxt(fh, np.atleast_2d(block), delimiter=",", fmt="%.15g")
-
-    _write_atomic(path, write)
+def _dense_csv(path: Path, header: str, array: np.ndarray) -> _Output:
+    rows, cols = array.shape
+    return _csv_output(path, header, rows, cols, lambda r0, r1: [array[r0:r1]])
 
 
 #: values of the long table that ``_long_table`` builds at a time
 _LONG_BLOCK_VALUES = 2**14
 
 
-def _long_table(draws: np.ndarray):
-    """The (draw, point_index, value) table of ``draws``, one row per value,
-    a block of draws at a time, so the whole table is never held."""
+def _long_table(draws: np.ndarray, start: int = 0):
+    """The (draw, point_index, value) table of ``draws``, numbered from draw
+    ``start``, one row per value, a block of draws at a time, so the whole
+    table is never held."""
     rows, cols = draws.shape
     step = max(1, _LONG_BLOCK_VALUES // cols)
     for r0 in range(0, rows, step):
         block = draws[r0:r0 + step]
-        yield np.column_stack([np.repeat(np.arange(r0, r0 + len(block)), cols),
+        yield np.column_stack([np.repeat(np.arange(start + r0, start + r0 + len(block)), cols),
                                np.tile(np.arange(cols), len(block)), block.ravel()])
 
 
@@ -390,16 +551,18 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
     C, dec = _decompose(config, base_dir)
     h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
     trace = kernels.trace_of_operator(C, dec.space)
-    _write_json(out_dir / "decomposition.json", {
-        "eigenvalues": dec.eigenvalues,
-        "eigenfunctions": dec.eigenfunctions.T,
-        "rank": dec.rank,
-        "dropped_mass": dec.dropped_mass,
-        "clamped_mass": dec.clamped_mass,
-        "tail_bound": dec.tail_bound,
-    })
-    header = ",".join(f"k{j + 1}" for j in range(dec.rank))
-    _write_csv(out_dir / "factor.csv", [h.factor], header)
+    _publish([
+        _json_output(out_dir / "decomposition.json", {
+            "eigenvalues": dec.eigenvalues,
+            "eigenfunctions": dec.eigenfunctions.T,
+            "rank": dec.rank,
+            "dropped_mass": dec.dropped_mass,
+            "clamped_mass": dec.clamped_mass,
+            "tail_bound": dec.tail_bound,
+        }),
+        _dense_csv(out_dir / "factor.csv", ",".join(f"k{j + 1}" for j in range(dec.rank)),
+                   h.factor),
+    ])
     print(f"rank: {dec.rank}")
     print(f"trace: {trace:.12g}")
     print(f"dropped_mass: {dec.dropped_mass:.12g}")
@@ -420,12 +583,13 @@ def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     fmt = options.get("format", "dense")
+    path, draws = out_dir / "samples.csv", batch.draws
     if fmt == "dense":
-        header = ",".join(f"p{i + 1}" for i in range(fld.space.size))
-        _write_csv(out_dir / "samples.csv", [batch.draws], header)
+        samples = _dense_csv(path, ",".join(f"p{i + 1}" for i in range(fld.space.size)), draws)
     else:
-        _write_csv(out_dir / "samples.csv", _long_table(batch.draws), "draw,point_index,value")
-    _write_json(out_dir / "samples_meta.json", {
+        samples = _csv_output(path, "draw,point_index,value", n_draws, 3 * draws.shape[1],
+                              lambda r0, r1: _long_table(draws[r0:r1], r0))
+    _publish([samples, _json_output(out_dir / "samples_meta.json", {
         "command": "sample",
         "seed": seed,
         "truncation": batch.truncation,
@@ -434,7 +598,7 @@ def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
         "space_size": fld.space.size,
         "kernel": config["kernel"],
         "format": fmt,
-    })
+    })])
     print(f"wrote {n_draws} draws ({fmt}) to {out_dir / 'samples.csv'}")
     print(f"sidecar: {out_dir / 'samples_meta.json'}")
     return EXIT_OK
@@ -443,7 +607,14 @@ def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
 def _read_factor(file: str, base_dir: Path, dec) -> spectral.WhiteNoiseKernel:
     path = base_dir / file
     try:
-        F = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as fh:
+            if fh.readline().strip():   # the column names k1, k2, ...
+                F = np.loadtxt(fh, delimiter=",", ndmin=2)
+            else:   # rank 0: no column names, then one empty line per node
+                rows = fh.read().splitlines()
+                if any(rows):
+                    raise DataError(f"factor file {path} has entries but no column names")
+                F = np.empty((len(rows), 0))
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read factor file {path}: {exc}") from exc
     if F.shape != (dec.space.size, dec.rank):

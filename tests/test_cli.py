@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 import os
@@ -314,6 +315,28 @@ def test_verify_zero_covariance_all_pass(tmp_path):
     })
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "verification.json").read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize("kernel,extra", [
+    ({"name": "brownian_motion"}, {"drop_tol": 1e300}),
+    ({"name": "custom", "file": "zero.csv"}, {}),
+], ids=["all-dropped", "zero-kernel"])
+def test_rank_zero_factor_file_round_trips(tmp_path, capsys, kernel, extra):
+    np.savetxt(tmp_path / "zero.csv", np.zeros((6, 6)), delimiter=",")
+    payload = {"space": {"type": "interval_grid", "n": 6}, "kernel": kernel,
+               "verify": {"n_draws": 100, "duality_pairs": 2}, **extra}
+    cfg = write_config(tmp_path / "plain.json", payload)
+    assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # an empty header line, then one empty line per node
+    assert (tmp_path / "factor.csv").read_bytes() == b"\n" * 7
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "plain")])
+    payload["verify"]["factor_file"] = "factor.csv"
+    cfg = write_config(tmp_path / "file.json", payload)
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "file")]) == code
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "file" / "verification.json").read_bytes()
+            == (tmp_path / "plain" / "verification.json").read_bytes())
 
 
 def test_verify_duality_battery_size_is_configurable(tmp_path):
@@ -664,6 +687,9 @@ CLI_BRANCHES = [
                  "cannot read factor file", id="factor-file-missing"),
     pytest.param("verify", {"verify": {"factor_file": "f.csv"}}, [], {"f.csv": "k1,k2\n1,2\n"}, 1,
                  "factor file shape (1, 2) does not match (8, 8)", id="factor-file-shape"),
+    pytest.param("verify", {"drop_tol": 1e300, "verify": {"factor_file": "f.csv"}}, [],
+                 {"f.csv": "\n0.5\n" + "\n" * 7}, 1, "has entries but no column names",
+                 id="factor-file-entries-without-column-names"),
     pytest.param("integrate", {"integrate": {"integrand": {"components": ["1"] * 9}}}, [], {}, 1,
                  "integrand has 9 components but the decomposition rank is 8",
                  id="more-components-than-rank"),
@@ -710,14 +736,18 @@ def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command, below):
      {"integrate": {"n_draws": 10, "integrand": {"components": ["1"]}}}),
     ("tangent", "tangent.json", {"tangent": {"t_index": 2, "offsets": [1], "r": 0.5}}),
 ])
-def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, first_output, extra):
-    out = tmp_path / "out"
-    (out / first_output).mkdir(parents=True)
-    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out / first_output}: Is a directory\n"
-    assert [p.name for p in out.iterdir()] == [first_output]   # no temp file left
-    assert not any((out / first_output).iterdir())
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, command,
+                                               first_output, extra):
+    for cpus in (1, 2):   # one process, then forked pieces
+        forked(monkeypatch, cpus)
+        out = tmp_path / f"out{cpus}"
+        (out / first_output).mkdir(parents=True)
+        assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                     "--out", str(out)]) == 2
+        no_children_left()
+        assert capsys.readouterr().err == f"error: cannot write {out / first_output}: Is a directory\n"
+        assert [p.name for p in out.iterdir()] == [first_output]   # no temp file left
+        assert not any((out / first_output).iterdir())
 
 
 def test_verify_non_finite_factor_file_exits_1(tmp_path, capsys):
@@ -735,3 +765,137 @@ def test_verify_non_finite_factor_file_exits_1(tmp_path, capsys):
     # the header is line 0, so data row 2 holds the first non-finite entry
     assert capsys.readouterr().err == f"error: factor file {factor_path} is not finite at entry (2, 5)\n"
     assert not (tmp_path / "out" / "verification.json").exists()
+
+
+# -- output pieces formatted in forked children ------------------------------
+
+
+def forked(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable and pieces tiny, so n=8 outputs are cut
+    into up to ``cpus`` pieces."""
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_PIECE_VALUES", 5)
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: every output of all five commands on 8 nodes, both sample formats
+_EVERY_OUTPUT = [
+    ("factorize", {}),
+    ("sample", {"sample": {"n_draws": 40}}),
+    ("sample", {"sample": {"n_draws": 40, "format": "long"}}),
+    ("verify", {"verify": {"n_draws": 200, "duality_pairs": 2}}),
+    ("integrate", {"integrate": {"n_draws": 10, "integrand": {"components": ["1"]}}}),
+    ("tangent", {"tangent": {"t_index": 2, "offsets": [1, 2], "r": 0.5}}),
+]
+
+
+def _every_output(tmp_path, capsys):
+    """Stdout and the bytes of every output file of each call in
+    ``_EVERY_OUTPUT``, written to the same directory."""
+    results = []
+    for command, extra in _EVERY_OUTPUT:
+        out = tmp_path / "out"
+        cfg = bm_config(tmp_path, n=8, extra=extra)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        no_children_left()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((capsys.readouterr().out, files))
+        for p in out.iterdir():
+            p.unlink()
+    return results
+
+
+@pytest.mark.parametrize("cpus,fork_fails", [(2, False), (3, False), (3, True)],
+                         ids=["2-cpus", "3-cpus", "fork-fails"])
+def test_pieces_write_the_bytes_of_one_process(tmp_path, capsys, monkeypatch, cpus, fork_fails):
+    monkeypatch.setattr(cli, "_LONG_BLOCK_VALUES", 7 * 8 + 5)   # ragged blocks of 7 draws
+    expected = _every_output(tmp_path, capsys)
+    forked(monkeypatch, cpus)
+    forks = []
+
+    def fork(real=os.fork):
+        forks.append(1)
+        if fork_fails:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _every_output(tmp_path, capsys) == expected
+    # factorize, and sample in both formats, fork cpus - 1 children each
+    assert len(forks) == 3 * (cpus - 1)
+
+
+@pytest.mark.parametrize("command,target,extra,cpus", [
+    ("factorize", "factor.csv", {}, 2),
+    ("sample", "samples.csv", {"sample": {"n_draws": 40}}, 3),
+])
+def test_failed_child_piece_exits_2_and_leaves_nothing(tmp_path, capsys, monkeypatch, command,
+                                                       target, extra, cpus):
+    forked(monkeypatch, cpus)
+    parent, savetxt = os.getpid(), np.savetxt
+
+    def failing_savetxt(*args, **kwargs):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        savetxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "savetxt", failing_savetxt)
+    out = tmp_path / "out"
+    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                 "--out", str(out)]) == 2
+    no_children_left()
+    assert capsys.readouterr().err == f"error: cannot write {out / target}: No space left on device\n"
+    assert list(out.iterdir()) == []   # no output renamed, no temp or part file left
+
+
+def test_first_failed_piece_in_output_order_is_reported(tmp_path, capsys, monkeypatch):
+    forked(monkeypatch, 3)   # samples.csv rows 0-13 here, 14-26 and 27-39 (+ sidecar) forked
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def failing(path, file, write, r0, r1):
+        if os.getpid() != parent:
+            raise cli.UsageError(f"cannot write {path}: rows from {r0}")
+        write_rows(path, file, write, r0, r1)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    out = tmp_path / "out"
+    assert main(["sample", "--config", bm_config(tmp_path, n=8, extra={"sample": {"n_draws": 40}}),
+                 "--out", str(out)]) == 2
+    no_children_left()
+    assert capsys.readouterr().err == f"error: cannot write {out / 'samples.csv'}: rows from 14\n"
+    assert list(out.iterdir()) == []
+
+
+def test_interrupt_in_this_process_waits_for_every_child(tmp_path, monkeypatch):
+    forked(monkeypatch, 2)
+    parent, pieces = os.getpid(), cli._json_pieces
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return pieces(*args)
+
+    monkeypatch.setattr(cli, "_json_pieces", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["factorize", "--config", bm_config(tmp_path, n=8), "--out", str(out)])
+    no_children_left()
+    assert list(out.iterdir()) == []
+
+
+@given(outputs=st.lists(st.tuples(st.integers(1, 30), st.integers(0, 9)), min_size=1, max_size=5),
+       count=st.integers(1, 6))
+def test_pieces_cover_every_row_once_in_order(outputs, count):
+    outputs = [cli._Output(None, rows, width, None) for rows, width in outputs]
+    pieces = cli._pieces(outputs, count)
+    assert 1 <= len(pieces) <= count
+    runs = [run for piece in pieces for run in piece]
+    for i, o in enumerate(outputs):
+        bounds = [(r0, r1) for j, r0, r1 in runs if j == i]
+        assert bounds[0][0] == 0 and bounds[-1][1] == o.rows
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert [j for j, _, _ in runs] == sorted(j for j, _, _ in runs)
