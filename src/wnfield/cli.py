@@ -12,8 +12,10 @@ integrate   integrate a deterministic or random integrand against the field
 tangent     Gram matrix of rescaled increments at a base node
 
 Exit codes: 0 success, 1 data or verification failure, 2 usage/config
-error. All randomized outputs are reproducible from the seeds recorded in
-the sidecars; files are written atomically (temp file + rename).
+error. The noise is reproducible bit for bit from the seeds recorded in the
+sidecars; outputs computed from it by BLAS are so only at a fixed BLAS
+thread count (elsewhere they agree to round-off). Files are written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations

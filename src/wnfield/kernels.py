@@ -37,8 +37,8 @@ class CovarianceKernel:
     """Symmetric positive kernel K(s, t) given by a pure evaluator.
 
     The evaluator must accept broadcastable ndarrays of point coordinates and
-    return the kernel values elementwise; symmetry is the caller's promise
-    and is additionally absorbed by symmetrization at assembly. Data-defined
+    return the kernel values elementwise; symmetry is the caller's promise,
+    which ``spectral.decompose`` checks and never repairs. Data-defined
     kernels have no evaluator: they carry their dense entries in ``matrix``,
     indexed by node position instead of coordinate.
     """
@@ -199,8 +199,8 @@ def matrix_kernel(entries: np.ndarray, name: str = "custom") -> CovarianceKernel
     makes sense together with a space whose size matches the matrix. Used
     for kernels supplied as data files instead of code. The matrix must be
     finite and symmetric up to ``SYMMETRY_TOL`` relative to its largest
-    entry (``check_symmetric``); a grossly asymmetric one is rejected
-    rather than symmetrized.
+    entry (``check_symmetric``): a grossly asymmetric one is rejected, and
+    a smaller asymmetry is kept as it is.
     """
     C = np.asarray(entries, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -210,12 +210,12 @@ def matrix_kernel(entries: np.ndarray, name: str = "custom") -> CovarianceKernel
 
 
 def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarray:
-    """Evaluate C_ij = K(x_i, x_j) on the space and symmetrize.
+    """Evaluate C_ij = K(x_i, x_j) on the space, as the kernel gives it.
 
-    Symmetrizing by (C + C^T)/2 absorbs floating asymmetry in user
-    evaluators; it goes a tile at a time and gives the same bits as the
-    one-shot sum. Non-finite values are a hard error naming the first
-    offending pair.
+    Nothing is averaged: the builtins are exactly symmetric, and the
+    symmetry of any other kernel is checked (never repaired) by
+    ``spectral.decompose``. A matrix kernel gives a copy of its matrix.
+    Non-finite values are a hard error naming the first offending pair.
     """
     n = space.size
     if kernel.matrix is not None:
@@ -224,7 +224,7 @@ def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarra
                 f"matrix kernel is {kernel.matrix.shape[0]}x{kernel.matrix.shape[0]} "
                 f"but space has {n} points"
             )
-        C = kernel.matrix
+        C = np.array(kernel.matrix, dtype=float)
     else:
         pts = space.points
         if pts.ndim == 1:
@@ -247,12 +247,7 @@ def assemble(kernel: CovarianceKernel, space: DiscreteMeasureSpace) -> np.ndarra
             f"kernel '{kernel.name}' is not finite at point pair "
             f"({space.points[i]}, {space.points[j]})"
         )
-    sym = np.empty((n, n))
-    for I, J in _upper_tiles(n):   # a + b == b + a: a tile serves both triangles
-        tile = (C[I, J] + C[J, I].T) / 2.0
-        sym[I, J] = tile
-        sym[J, I] = tile.T
-    return sym
+    return C
 
 
 def trace_of_operator(C: np.ndarray, space: DiscreteMeasureSpace) -> float:

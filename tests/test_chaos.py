@@ -255,3 +255,23 @@ def test_format_examples():
     assert format_polynomial(X1**2 - 1.0) == "x1^2 - 1"
     assert format_polynomial(ChaosPolynomial.zero()) == "0"
     assert format_polynomial(-X1) == "-x1"
+
+
+#: calls that must fail, the exception each raises and its message
+CHAOS_BRANCHES = [
+    pytest.param(lambda: ChaosPolynomial({(1, -1): 1.0}, 2), ValueError,
+                 "negative exponent in multi-index (1, -1)", id="negative-exponent"),
+    pytest.param(lambda: ChaosPolynomial.variable(-1), ValueError,
+                 "variable index must be >= 0, got -1", id="negative-variable-index"),
+    pytest.param(lambda: X1 ** -1, ValueError, "exponent must be a nonnegative integer",
+                 id="negative-power"),
+    pytest.param(lambda: X1 + "x", TypeError, "cannot interpret str as a polynomial",
+                 id="add-a-string"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", CHAOS_BRANCHES)
+def test_chaos_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

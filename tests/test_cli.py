@@ -6,6 +6,7 @@ import os
 import stat
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ def test_factorize_white_diagonal_full_rank(tmp_path, capsys):
     })
     assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert "rank: 12" in capsys.readouterr().out
+
+
+def test_factorize_largest_white_noise_variance(tmp_path, capsys):
+    # every entry is finite; an average (C + C^T) / 2 would overflow the diagonal
+    cfg = write_config(tmp_path / "w.json", {
+        "space": {"type": "interval_grid", "n": 4},
+        "kernel": {"name": "white_diagonal", "params": {"sigma2": 1e308}},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "trace: 1e+308\n" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "decomposition.json").read_text())
+    assert payload["eigenvalues"] == [2.5e307] * 4
+    factor = np.loadtxt(tmp_path / "factor.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(factor))
+    assert np.allclose(factor @ factor.T, 1e308 * np.eye(4), rtol=1e-15, atol=0.0)
 
 
 def test_factorize_indefinite_matrix_exits_1(tmp_path, capsys):
@@ -281,7 +299,8 @@ def _as_lists(payload):
     return payload
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_PAYLOADS)
 def test_write_json_writes_the_bytes_of_json_dump(tmp_path, payload):
     cli._write_json(tmp_path / "out.json", payload)
@@ -289,7 +308,8 @@ def test_write_json_writes_the_bytes_of_json_dump(tmp_path, payload):
     assert (tmp_path / "out.json").read_bytes() == expected.encode()
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=_PAYLOADS, bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
        matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
                                                        max_side=4), elements=_FLOATS),
@@ -852,6 +872,24 @@ def test_failed_child_piece_exits_2_and_leaves_nothing(tmp_path, capsys, monkeyp
     assert list(out.iterdir()) == []   # no output renamed, no temp or part file left
 
 
+def test_child_piece_that_ends_without_a_report_exits_2(tmp_path, capsys, monkeypatch):
+    forked(monkeypatch, 2)
+    parent, savetxt = os.getpid(), np.savetxt
+
+    def dying_savetxt(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)   # no exception to report
+        savetxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "savetxt", dying_savetxt)
+    out = tmp_path / "out"
+    assert main(["factorize", "--config", bm_config(tmp_path, n=8), "--out", str(out)]) == 2
+    no_children_left()
+    assert capsys.readouterr().err == (f"error: cannot write {out / 'factor.csv'}: "
+                                       "formatting process ended with status 3\n")
+    assert list(out.iterdir()) == []
+
+
 def test_first_failed_piece_in_output_order_is_reported(tmp_path, capsys, monkeypatch):
     forked(monkeypatch, 3)   # samples.csv rows 0-13 here, 14-26 and 27-39 (+ sidecar) forked
     parent, write_rows = os.getpid(), cli._write_rows
@@ -887,6 +925,7 @@ def test_interrupt_in_this_process_waits_for_every_child(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+@settings(derandomize=True, database=None, deadline=None)
 @given(outputs=st.lists(st.tuples(st.integers(1, 30), st.integers(0, 9)), min_size=1, max_size=5),
        count=st.integers(1, 6))
 def test_pieces_cover_every_row_once_in_order(outputs, count):

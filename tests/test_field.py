@@ -1,6 +1,7 @@
 import dataclasses
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from wnfield.field import (
 )
 from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel, matrix_kernel
 from wnfield.spaces import DiscreteMeasureSpace, interval_grid
-from wnfield.spectral import decompose, factorize, reproduce_covariance
+from wnfield.spectral import WhiteNoiseKernel, decompose, factorize, reproduce_covariance
 
 ZERO_KERNEL = CovarianceKernel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape))
 CONSTANT_KERNEL = CovarianceKernel("constant", lambda s, t: np.full(np.broadcast(s, t).shape, 0.7))
@@ -126,6 +127,17 @@ def test_field_rejects_decomposition_on_other_weights():
                   interval_grid(4)):
         with pytest.raises(DimensionMismatchError):
             GaussianField(space=other, dec=dec, factor=factorize(dec))
+
+
+def test_largest_white_noise_variance_builds_a_field():
+    # every entry is finite; an average (C + C^T) / 2 would overflow the diagonal
+    sp = interval_grid(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fld = build_field(builtin_kernel("white_diagonal", {"sigma2": 1e308}), sp)
+    assert np.array_equal(fld.dec.eigenvalues, np.full(4, 2.5e307))
+    assert np.allclose(reproduce_covariance(fld.factor, sp), 1e308 * np.eye(4),
+                       rtol=1e-15, atol=0.0)
 
 
 def test_truncation_error_edges():
@@ -407,3 +419,27 @@ def test_tangent_gram_validation():
         tangent_gram(fld, 0, [-1], r=0.1)
     with pytest.raises(ValueError):
         tangent_gram(fld, 3, [1], r=0.0)
+
+
+def _field_with_factor_columns(m):
+    fld = build_field(builtin_kernel("brownian_motion"), interval_grid(4))
+    return GaussianField(space=fld.space, dec=fld.dec,
+                         factor=WhiteNoiseKernel(fld.factor.factor[:, :m], "symmetric_sqrt"))
+
+
+#: calls that must fail, the exception each raises and its message
+FIELD_BRANCHES = [
+    pytest.param(lambda: _field_with_factor_columns(3), DimensionMismatchError,
+                 "factor shape (4, 3) does not match (4, 4)", id="factor-shape"),
+    pytest.param(lambda: noise_matrix(2, 5, 0, stride=4), ValueError,
+                 "width 5 exceeds stride 4", id="width-above-stride"),
+    pytest.param(lambda: noise_matrix(0, 3, 0), ValueError, "need at least one draw",
+                 id="no-draws"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", FIELD_BRANCHES)
+def test_field_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

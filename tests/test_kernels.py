@@ -200,10 +200,34 @@ def test_rejects_asymmetric_entries(accept):
     accept(np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]]))
 
 
-def test_assemble_symmetrizes_asymmetric_evaluator():
-    k = CovarianceKernel("skewed", lambda s, t: np.minimum(s, t) + 1e-13 * (s - t))
-    C = assemble(k, interval_grid(8))
-    assert np.max(np.abs(C - C.T)) == 0.0
+def test_asymmetric_evaluator_is_returned_unchanged_and_checked_by_decompose():
+    sp = interval_grid(8)
+    S, T = sp.points[:, None], sp.points[None, :]
+    skewed = {}
+    for skew in (1e-13, 1e-3):
+        kernel = CovarianceKernel("skewed", lambda s, t: np.minimum(s, t) + skew * (s - t))
+        skewed[skew] = assemble(kernel, sp)
+        assert skewed[skew].tobytes() == (np.minimum(S, T) + skew * (S - T)).tobytes()
+    decompose(skewed[1e-13], sp)   # round-off asymmetry is accepted as it is
+    C = skewed[1e-3]
+    with pytest.raises(InvalidParameterError) as info:
+        decompose(C, sp)
+    gap = abs(C[0, 7] - C[7, 0])
+    assert str(info.value) == (f"covariance is not symmetric: |C[0, 7] - C[7, 0]| = {gap:.3e} "
+                               f"exceeds {SYMMETRY_TOL:g} * max|C|")
+
+
+@pytest.mark.parametrize("name,params", ALL_KERNELS + [
+    ("fbm", {"hurst": 0.3}), ("squared_exponential", {"length_scale": 0.1})])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 256])
+def test_builtins_assemble_exactly_symmetric(name, params, n):
+    kernel = builtin_kernel(name, params)
+    C = assemble(kernel, interval_grid(n))
+    assert np.array_equal(C, C.T)
+    if name in ("squared_exponential", "white_diagonal"):
+        points = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+        C = assemble(kernel, DiscreteMeasureSpace(points=points, weights=np.full(n, 1.0 / n)))
+        assert np.array_equal(C, C.T)
 
 
 def test_scalar_only_kernels_reject_multidimensional_points():
@@ -274,6 +298,24 @@ def test_blocked_symmetry_pass_matches_one_shot(C, tile):
         mp.setattr(kernels, "_TILE", tile)   # ragged tiles unless tile divides n
         assert _outcome(check_symmetric, C, "covariance") == \
             _outcome(_one_shot_check_symmetric, C, "covariance")
-        if np.all(np.isfinite(C)):
-            sym = assemble(CovarianceKernel("given", lambda s, t: C), interval_grid(len(C)))
-            assert sym.tobytes() == ((C + C.T) / 2.0).tobytes()   # -0.0 and inf included
+        if np.all(np.isfinite(C)):   # assemble returns C's bytes, -0.0 included
+            for kernel in (CovarianceKernel("given", lambda s, t: C.copy()),
+                           CovarianceKernel("given", None, matrix=C)):
+                assert assemble(kernel, interval_grid(len(C))).tobytes() == C.tobytes()
+
+
+#: calls that must fail, the exception each raises and its message
+KERNEL_BRANCHES = [
+    pytest.param(lambda: assemble(CovarianceKernel("flat", lambda s, t: np.ones(3)), interval_grid(4)),
+                 DimensionMismatchError, "kernel 'flat' produced shape (3,), expected (4, 4)",
+                 id="evaluator-shape"),
+    pytest.param(lambda: trace_of_operator(np.eye(3), interval_grid(4)), DimensionMismatchError,
+                 "matrix shape (3, 3) does not match space size 4", id="trace-space-mismatch"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", KERNEL_BRANCHES)
+def test_kernels_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

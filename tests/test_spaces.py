@@ -112,3 +112,19 @@ def test_multidimensional_points():
     sp = DiscreteMeasureSpace(points=pts, weights=[1.0, 2.0, 3.0])
     assert sp.size == 3
     assert sp.inner([1, 0, 1], [1, 1, 1]) == pytest.approx(4.0)
+
+
+#: calls that must fail, the exception each raises and its message
+SPACE_BRANCHES = [
+    pytest.param(lambda: DiscreteMeasureSpace(points=[], weights=[]), ValueError,
+                 "space must contain at least one point", id="no-points"),
+    pytest.param(lambda: DiscreteMeasureSpace(points=np.empty((0, 2)), weights=[]), ValueError,
+                 "space must contain at least one point", id="no-planar-points"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", SPACE_BRANCHES)
+def test_spaces_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

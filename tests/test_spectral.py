@@ -588,3 +588,26 @@ def test_sketch_at_real_size_matches_dense_reference(monkeypatch):
     trace = trace_of_operator(C, sp)
     assert abs(dec.eigenvalues.sum() + dec.dropped_mass - dec.clamped_mass - trace) <= 1e-12 * lam_1
     assert np.max(np.abs(dec.reconstruction() - C)) <= 1e-8 * lam_1
+
+
+def _brownian_decomposition(n=4):
+    sp = interval_grid(n)
+    return decompose(assemble(builtin_kernel("brownian_motion"), sp), sp)
+
+
+#: calls that must fail, the exception each raises and its message
+SPECTRAL_BRANCHES = [
+    pytest.param(lambda: pointwise_kernel_matrix(WhiteNoiseKernel(np.ones((4, 3)), "symmetric_sqrt"),
+                                                 _brownian_decomposition()),
+                 DimensionMismatchError, "factor shape (4, 3) does not match decomposition (4, 4)",
+                 id="pointwise-factor-shape"),
+    pytest.param(lambda: to_rkhs(np.ones(3), _brownian_decomposition()), DimensionMismatchError,
+                 "field vector shape (3,) does not match space size 4", id="rkhs-vector-shape"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", SPECTRAL_BRANCHES)
+def test_spectral_error_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
