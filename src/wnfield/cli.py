@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-factorize   eigendecompose and factor a kernel; writes decomposition JSON
-            and the factor matrix CSV
+factorize   eigendecompose and factor a kernel; writes decomposition JSON,
+            the factor matrix CSV and the eigenfunctions CSV
 sample      draw field realizations; writes a samples CSV plus a JSON
             sidecar recording seed, truncation, and gauge
 verify      run the invariant suite and write a pass/fail report; exits
@@ -30,6 +30,7 @@ import secrets
 import shutil
 import signal
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -252,7 +253,7 @@ def build_kernel(config: dict, base_dir: Path) -> kernels.CovarianceKernel:
             raise UsageError("custom kernel requires a 'file' with the matrix CSV")
         path = base_dir / file   # an absolute file replaces base_dir
         try:
-            entries = np.loadtxt(path, delimiter=",", ndmin=2)
+            entries = _load_csv(path, path, "kernel matrix")
         except OSError as exc:
             raise UsageError(f"cannot read kernel matrix {path}: {exc}") from exc
         except ValueError as exc:
@@ -262,6 +263,16 @@ def build_kernel(config: dict, base_dir: Path) -> kernels.CovarianceKernel:
         except InvalidParameterError as exc:
             raise DataError(str(exc)) from exc
     return kernels.builtin_kernel(name, spec.get("params"))
+
+
+def _load_csv(source, path: Path, what: str) -> np.ndarray:
+    """The numbers of the CSV ``source`` (``path`` or a file open on it), at least one."""
+    with warnings.catch_warnings():   # the error below replaces loadtxt's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        entries = np.loadtxt(source, delimiter=",", ndmin=2)
+    if not entries.size:
+        raise DataError(f"{what} {path} holds no numbers")
+    return entries
 
 
 def _decompose(config: dict, base_dir: Path):
@@ -320,11 +331,11 @@ class _Output:
 
 
 def _json_output(path: Path, payload) -> _Output:
-    """``payload`` as ``json.dump(indent=2, allow_nan=False)`` writes it,
-    one row that is never split."""
+    """``payload`` as ``json.dump(indent=2, allow_nan=False)`` writes it, numpy
+    arrays and scalars as the values they hold; one row that is never split."""
     def write(fh, r0, r1):
         try:
-            fh.writelines(_json_pieces(payload))
+            json.dump(payload, fh, indent=2, allow_nan=False, default=lambda obj: obj.tolist())
         except ValueError as exc:
             raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
         fh.write("\n")
@@ -334,14 +345,14 @@ def _json_output(path: Path, payload) -> _Output:
                    write)
 
 
-def _csv_output(path: Path, header: str, rows: int, width: int, blocks) -> _Output:
+def _csv_output(path: Path, header: str, rows: int, width: int, blocks, fmt="%.15g") -> _Output:
     """A header line, then the rows of each 2-D array of ``blocks(r0, r1)``,
-    as ``np.savetxt`` formats them; the header goes with row 0."""
+    as ``np.savetxt`` formats them with ``fmt``; the header goes with row 0."""
     def write(fh, r0, r1):
         if r0 == 0:
             fh.write(header + "\n")
         for block in blocks(r0, r1):
-            np.savetxt(fh, block, delimiter=",", fmt="%.15g")
+            np.savetxt(fh, block, delimiter=",", fmt=fmt)
 
     return _Output(path, rows, width, write)
 
@@ -485,49 +496,13 @@ def _publish(outputs: list[_Output]):
                 os.unlink(file(i, r0))
 
 
-def _json_pieces(obj, level: int = 0):
-    """The text of ``json.dump(obj, indent=2, allow_nan=False)``, piece by
-    piece. A list of floats, or a row of a float array, is one piece; empty
-    containers and other scalars are ``json.dumps``'s text."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist() if obj.ndim == 1 else list(obj)
-    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    if isinstance(obj, dict) and obj:
-        sep = "{" + inner
-        for key, value in obj.items():
-            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
-            yield from _json_pieces(value, level + 1)
-            sep = "," + inner
-        yield close + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {float}:
-            if not all(map(math.isfinite, obj)):
-                _float_text(next(x for x in obj if not math.isfinite(x)))   # raises
-            yield "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + close + "]"
-            return
-        sep = "[" + inner
-        for item in obj:
-            yield sep
-            yield from _json_pieces(item, level + 1)
-            sep = "," + inner
-        yield close + "]"
-    else:
-        yield _float_text(obj) if isinstance(obj, float) else json.dumps(obj)
-
-
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
 def _write_json(path: Path, payload):
     _publish([_json_output(path, payload)])
 
 
-def _dense_csv(path: Path, header: str, array: np.ndarray) -> _Output:
+def _dense_csv(path: Path, header: str, array: np.ndarray, fmt: str = "%.15g") -> _Output:
     rows, cols = array.shape
-    return _csv_output(path, header, rows, cols, lambda r0, r1: [array[r0:r1]])
+    return _csv_output(path, header, rows, cols, lambda r0, r1: [array[r0:r1]], fmt)
 
 
 #: values of the long table that ``_long_table`` builds at a time
@@ -556,7 +531,6 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
     _publish([
         _json_output(out_dir / "decomposition.json", {
             "eigenvalues": dec.eigenvalues,
-            "eigenfunctions": dec.eigenfunctions.T,
             "rank": dec.rank,
             "dropped_mass": dec.dropped_mass,
             "clamped_mass": dec.clamped_mass,
@@ -564,12 +538,16 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
         }),
         _dense_csv(out_dir / "factor.csv", ",".join(f"k{j + 1}" for j in range(dec.rank)),
                    h.factor),
+        # 17 significant digits: np.loadtxt gives back the exact doubles
+        _dense_csv(out_dir / "eigenfunctions.csv",
+                   ",".join(f"phi{j + 1}" for j in range(dec.rank)), dec.eigenfunctions, "%.17g"),
     ])
     print(f"rank: {dec.rank}")
     print(f"trace: {trace:.12g}")
     print(f"dropped_mass: {dec.dropped_mass:.12g}")
     print(f"gauge: {h.gauge}")
-    print(f"wrote {out_dir / 'decomposition.json'} and {out_dir / 'factor.csv'}")
+    print(f"wrote {out_dir / 'decomposition.json'}, {out_dir / 'factor.csv'} "
+          f"and {out_dir / 'eigenfunctions.csv'}")
     return EXIT_OK
 
 
@@ -611,7 +589,7 @@ def _read_factor(file: str, base_dir: Path, dec) -> spectral.WhiteNoiseKernel:
     try:
         with open(path) as fh:
             if fh.readline().strip():   # the column names k1, k2, ...
-                F = np.loadtxt(fh, delimiter=",", ndmin=2)
+                F = _load_csv(fh, path, "factor file")
             else:   # rank 0: no column names, then one empty line per node
                 rows = fh.read().splitlines()
                 if any(rows):
@@ -754,13 +732,9 @@ def cmd_tangent(config: dict, out_dir: Path, base_dir: Path) -> int:
         )
     except (IndexError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    payload = {
-        "t_index": options["t_index"],
-        "offsets": list(options["offsets"]),
-        "r": options["r"],
-        "gram": gram,
-    }
-    _write_json(out_dir / "tangent.json", payload)
+    _write_json(out_dir / "tangent.json", {"t_index": options["t_index"],
+                                           "offsets": options["offsets"], "r": options["r"],
+                                           "gram": gram})
     print("rescaled-increment Gram matrix:")
     for row in gram:
         print("  " + " ".join(f"{v: .12g}" for v in row))

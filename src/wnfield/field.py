@@ -54,8 +54,9 @@ class GaussianField:
 
     def __post_init__(self):
         n, m = self.space.size, self.dec.rank
-        if not np.array_equal(self.dec.space.weights, self.space.weights):
-            raise DimensionMismatchError("decomposition does not match space weights")
+        if not (np.array_equal(self.dec.space.points, self.space.points)
+                and np.array_equal(self.dec.space.weights, self.space.weights)):
+            raise DimensionMismatchError("decomposition does not match space points and weights")
         if self.factor.factor.shape != (n, m):
             raise DimensionMismatchError(
                 f"factor shape {self.factor.factor.shape} does not match ({n}, {m})"

@@ -257,6 +257,13 @@ def test_format_examples():
     assert format_polynomial(-X1) == "-x1"
 
 
+def test_scalar_minus_polynomial_and_repr():
+    assert terms_of(1.0 - X1) == {(): 1.0, (1,): -1.0}
+    assert terms_of(2 - 2 * X2**2) == terms_of(-(2 * X2**2 - 2))
+    assert repr(X1**2 - 1.0) == "ChaosPolynomial('x1^2 - 1', num_vars=1)"
+    assert repr(ChaosPolynomial.zero()) == "ChaosPolynomial('0', num_vars=0)"
+
+
 #: calls that must fail, the exception each raises and its message
 CHAOS_BRANCHES = [
     pytest.param(lambda: ChaosPolynomial({(1, -1): 1.0}, 2), ValueError,

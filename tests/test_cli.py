@@ -51,7 +51,8 @@ def test_factorize_brownian_reports_rank_and_trace(tmp_path, capsys):
     assert payload["dropped_mass"] == 0.0
     assert payload["clamped_mass"] == 0.0
     assert len(payload["eigenvalues"]) == 64
-    assert len(payload["eigenfunctions"]) == 64
+    phi = np.loadtxt(tmp_path / "eigenfunctions.csv", delimiter=",", skiprows=1)
+    assert phi.shape == (64, 64)
     factor = np.loadtxt(tmp_path / "factor.csv", delimiter=",", skiprows=1)
     C = assemble(builtin_kernel("brownian_motion"), sp)
     assert np.max(np.abs(factor @ factor.T - C)) <= 1e-8 * payload["eigenvalues"][0]
@@ -186,7 +187,8 @@ def test_outputs_honour_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
-    assert modes == {name: mode for name in ("decomposition.json", "factor.csv", "samples.csv",
+    assert modes == {name: mode for name in ("decomposition.json", "factor.csv",
+                                             "eigenfunctions.csv", "samples.csv",
                                              "samples_meta.json", "integral.json")}
 
 
@@ -357,6 +359,30 @@ def test_rank_zero_factor_file_round_trips(tmp_path, capsys, kernel, extra):
     assert capsys.readouterr().err == ""
     assert ((tmp_path / "file" / "verification.json").read_bytes()
             == (tmp_path / "plain" / "verification.json").read_bytes())
+
+
+@pytest.mark.parametrize("n,kernel,extra", [
+    (64, {"name": "fbm", "params": {"hurst": 0.7}}, {}),
+    (6, {"name": "brownian_motion"}, {"drop_tol": 1e300}),
+    (6, {"name": "custom", "file": "zero.csv"}, {}),
+], ids=["fbm", "all-dropped", "zero-kernel"])
+def test_eigenfunctions_csv_round_trips_bit_for_bit(tmp_path, capsys, n, kernel, extra):
+    np.savetxt(tmp_path / "zero.csv", np.zeros((6, 6)), delimiter=",")
+    cfg = write_config(tmp_path / "c.json",
+                       {"space": {"type": "interval_grid", "n": n}, "kernel": kernel, **extra})
+    assert main(["factorize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    args = argparse.Namespace(seed=None, truncate=None, gauge=None)
+    dec = cli._decompose(cli.load_config(cfg, args), tmp_path)[1]
+    path = tmp_path / "out" / "eigenfunctions.csv"
+    if dec.rank:
+        header = ",".join(f"phi{j + 1}" for j in range(dec.rank))
+        assert path.read_text().splitlines()[0] == header
+        phi = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert phi.shape == dec.eigenfunctions.shape
+        assert phi.tobytes() == np.ascontiguousarray(dec.eigenfunctions).tobytes()
+    else:   # as factor.csv: an empty header line, then one empty line per node
+        assert path.read_bytes() == b"\n" * (n + 1)
+    assert "eigenfunctions" not in json.loads((tmp_path / "out" / "decomposition.json").read_text())
 
 
 def test_verify_duality_battery_size_is_configurable(tmp_path):
@@ -695,6 +721,8 @@ CLI_BRANCHES = [
                  "cannot read kernel matrix", id="custom-kernel-unreadable"),
     pytest.param("factorize", {"kernel": {"name": "custom", "file": "k.csv"}}, [],
                  {"k.csv": "1,x\n"}, 1, "is not numeric CSV", id="custom-kernel-not-numeric"),
+    pytest.param("factorize", {"kernel": {"name": "custom", "file": "C.csv"}}, [], {"C.csv": ""},
+                 1, "C.csv holds no numbers", id="custom-kernel-empty"),
     pytest.param("factorize", {"kernel": {"name": "matern"}}, [], {}, 2,
                  "unknown kernel 'matern'; builtins are brownian_motion, brownian_bridge, fbm, "
                  "squared_exponential, white_diagonal", id="unknown-kernel"),
@@ -707,6 +735,8 @@ CLI_BRANCHES = [
                  "cannot read factor file", id="factor-file-missing"),
     pytest.param("verify", {"verify": {"factor_file": "f.csv"}}, [], {"f.csv": "k1,k2\n1,2\n"}, 1,
                  "factor file shape (1, 2) does not match (8, 8)", id="factor-file-shape"),
+    pytest.param("verify", {"verify": {"factor_file": "f.csv"}}, [], {"f.csv": "k1,k2\n"}, 1,
+                 "f.csv holds no numbers", id="factor-file-without-rows"),
     pytest.param("verify", {"drop_tol": 1e300, "verify": {"factor_file": "f.csv"}}, [],
                  {"f.csv": "\n0.5\n" + "\n" * 7}, 1, "has entries but no column names",
                  id="factor-file-entries-without-column-names"),
@@ -852,6 +882,7 @@ def test_pieces_write_the_bytes_of_one_process(tmp_path, capsys, monkeypatch, cp
 @pytest.mark.parametrize("command,target,extra,cpus", [
     ("factorize", "factor.csv", {}, 2),
     ("sample", "samples.csv", {"sample": {"n_draws": 40}}, 3),
+    ("factorize", "factor.csv", {}, 1),   # one process: the failure is this process's own
 ])
 def test_failed_child_piece_exits_2_and_leaves_nothing(tmp_path, capsys, monkeypatch, command,
                                                        target, extra, cpus):
@@ -859,7 +890,7 @@ def test_failed_child_piece_exits_2_and_leaves_nothing(tmp_path, capsys, monkeyp
     parent, savetxt = os.getpid(), np.savetxt
 
     def failing_savetxt(*args, **kwargs):
-        if os.getpid() != parent:
+        if cpus == 1 or os.getpid() != parent:
             raise OSError(errno.ENOSPC, "No space left on device")
         savetxt(*args, **kwargs)
 
@@ -910,19 +941,32 @@ def test_first_failed_piece_in_output_order_is_reported(tmp_path, capsys, monkey
 
 def test_interrupt_in_this_process_waits_for_every_child(tmp_path, monkeypatch):
     forked(monkeypatch, 2)
-    parent, pieces = os.getpid(), cli._json_pieces
+    parent, dump = os.getpid(), json.dump
 
-    def interrupted(*args):
+    def interrupted(*args, **kwargs):   # decomposition.json is in this process's piece
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return pieces(*args)
+        return dump(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_json_pieces", interrupted)
+    monkeypatch.setattr(json, "dump", interrupted)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         main(["factorize", "--config", bm_config(tmp_path, n=8), "--out", str(out)])
     no_children_left()
     assert list(out.iterdir()) == []
+
+
+def test_no_affinity_mask_formats_in_this_process(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(cli, "_PIECE_VALUES", 5)
+
+    def fork():
+        raise AssertionError("forked a formatting process")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert cli._cpu_count() == 1
+    assert main(["factorize", "--config", bm_config(tmp_path, n=8),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @settings(derandomize=True, database=None, deadline=None)

@@ -124,6 +124,7 @@ def test_field_rejects_decomposition_on_other_weights():
     same = DiscreteMeasureSpace(points=points, weights=[0.125, 0.5, 0.375])
     assert GaussianField(space=same, dec=dec, factor=factorize(dec)).space is same
     for other in (DiscreteMeasureSpace(points=points, weights=[0.1875, 0.5, 0.3125]),
+                  DiscreteMeasureSpace(points=[0.2, 0.8, 1.8], weights=[0.125, 0.5, 0.375]),
                   interval_grid(4)):
         with pytest.raises(DimensionMismatchError):
             GaussianField(space=other, dec=dec, factor=factorize(dec))
