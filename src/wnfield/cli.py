@@ -38,7 +38,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import chaos, field, integrals, kernels, spaces, spectral, verify
+from . import _numtext, chaos, field, integrals, kernels, spaces, spectral, verify
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
@@ -345,14 +345,17 @@ def _json_output(path: Path, payload) -> _Output:
                    write)
 
 
-def _csv_output(path: Path, header: str, rows: int, width: int, blocks, fmt="%.15g") -> _Output:
+def _csv_output(path: Path, header: str, rows: int, width: int, blocks, precision=15) -> _Output:
     """A header line, then the rows of each 2-D array of ``blocks(r0, r1)``,
-    as ``np.savetxt`` formats them with ``fmt``; the header goes with row 0."""
+    with ``precision`` significant digits: the bytes of
+    ``np.savetxt(fh, block, delimiter=",", fmt=f"%.{precision}g")``, written
+    by the exact block formatter ``_numtext.write``. The header goes with
+    row 0."""
     def write(fh, r0, r1):
         if r0 == 0:
             fh.write(header + "\n")
         for block in blocks(r0, r1):
-            np.savetxt(fh, block, delimiter=",", fmt=fmt)
+            _numtext.write(fh, block, precision)
 
     return _Output(path, rows, width, write)
 
@@ -500,9 +503,9 @@ def _write_json(path: Path, payload):
     _publish([_json_output(path, payload)])
 
 
-def _dense_csv(path: Path, header: str, array: np.ndarray, fmt: str = "%.15g") -> _Output:
+def _dense_csv(path: Path, header: str, array: np.ndarray, precision: int = 15) -> _Output:
     rows, cols = array.shape
-    return _csv_output(path, header, rows, cols, lambda r0, r1: [array[r0:r1]], fmt)
+    return _csv_output(path, header, rows, cols, lambda r0, r1: [array[r0:r1]], precision)
 
 
 #: values of the long table that ``_long_table`` builds at a time
@@ -540,7 +543,7 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
                    h.factor),
         # 17 significant digits: np.loadtxt gives back the exact doubles
         _dense_csv(out_dir / "eigenfunctions.csv",
-                   ",".join(f"phi{j + 1}" for j in range(dec.rank)), dec.eigenfunctions, "%.17g"),
+                   ",".join(f"phi{j + 1}" for j in range(dec.rank)), dec.eigenfunctions, 17),
     ])
     print(f"rank: {dec.rank}")
     print(f"trace: {trace:.12g}")

@@ -228,7 +228,8 @@ def _noise_moment(F: np.ndarray, G: np.ndarray, n_draws: int) -> np.ndarray:
     diagonal tile, its upper triangle onto its lower), so the result is
     exactly symmetric.
     """
-    E = F @ G @ F.T / n_draws
+    E = F @ G @ F.T
+    E /= n_draws
     for I, J in _upper_tiles(len(E)):
         if I == J:
             T = E[I, I]
@@ -259,7 +260,9 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
         )
     F = batch.factor
     if F is None or not _gram_pays(n_draws, n, F.shape[1], batch.stride or F.shape[1]):
-        return (X.T @ X) / n_draws
+        E = X.T @ X
+        E /= n_draws
+        return E
     G = noise_gram(n_draws, F.shape[1], batch.seed, stride=batch.stride)
     return _noise_moment(F, G, n_draws)
 

@@ -71,19 +71,32 @@ def _make_fbm(hurst: float):
     twoH = 2.0 * hurst
 
     def fbm(s, t):
-        return 0.5 * (
-            np.abs(s) ** twoH + np.abs(t) ** twoH - np.abs(s - t) ** twoH
-        )
+        # 0.5 * (|s|^2H + |t|^2H - |s - t|^2H), in two n x n arrays; the one
+        # returned is made first, so the other is freed from the heap's top
+        C = np.abs(s) ** twoH + np.abs(t) ** twoH
+        d = np.asarray(s - t)
+        np.abs(d, out=d)
+        if twoH == 0.5:   # the ufunc numpy's ** takes for this exponent
+            np.sqrt(d, out=d)
+        else:
+            np.power(d, twoH, out=d)
+        C -= d
+        C *= 0.5
+        return C
 
     return fbm
 
 
 def _make_squared_exponential(length_scale: float):
     def sqexp(s, t):
-        d2 = (s - t) ** 2
-        if np.ndim(d2) > 2:  # (n, n, d) point blocks: Euclidean distance
+        # exp(-(s - t)^2 / (2 l^2)), in place
+        d2 = np.asarray(s - t)
+        np.square(d2, out=d2)
+        if d2.ndim > 2:  # (n, n, d) point blocks: Euclidean distance
             d2 = d2.sum(axis=-1)
-        return np.exp(-d2 / (2.0 * length_scale**2))
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * length_scale**2
+        return np.exp(d2, out=d2)
 
     return sqexp
 

@@ -57,7 +57,9 @@ def _spectral_checks(C, dec, canonical, rng, n_functions: int, tol: dict) -> lis
     coordinates of the section K(x, .), so one matmul covers every node.
     """
     V = dec.whitened_vectors()
-    ortho = float(np.max(np.abs(V.T @ V - np.eye(dec.rank)), initial=0.0))   # rank may be 0
+    gram = V.T @ V
+    gram[np.diag_indices(dec.rank)] -= 1.0   # V^T V - I
+    ortho = float(np.max(np.abs(gram, out=gram), initial=0.0))   # rank may be 0
     trace = kernels.trace_of_operator(C, dec.space)
     rel_err = abs(trace - float(dec.eigenvalues.sum())) / max(abs(trace), 1e-300)
     root_diag = np.sqrt(np.maximum(np.diag(C), 0.0))

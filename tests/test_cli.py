@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wnfield import cli, field, spectral, verify
+from wnfield import _numtext, cli, field, spectral, verify
 from wnfield.cli import main
 from wnfield.errors import NumericError
 from wnfield.kernels import assemble, builtin_kernel
@@ -887,14 +887,14 @@ def test_pieces_write_the_bytes_of_one_process(tmp_path, capsys, monkeypatch, cp
 def test_failed_child_piece_exits_2_and_leaves_nothing(tmp_path, capsys, monkeypatch, command,
                                                        target, extra, cpus):
     forked(monkeypatch, cpus)
-    parent, savetxt = os.getpid(), np.savetxt
+    parent, write = os.getpid(), _numtext.write
 
-    def failing_savetxt(*args, **kwargs):
+    def failing_write(*args, **kwargs):
         if cpus == 1 or os.getpid() != parent:
             raise OSError(errno.ENOSPC, "No space left on device")
-        savetxt(*args, **kwargs)
+        write(*args, **kwargs)
 
-    monkeypatch.setattr(np, "savetxt", failing_savetxt)
+    monkeypatch.setattr(_numtext, "write", failing_write)
     out = tmp_path / "out"
     assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
                  "--out", str(out)]) == 2
@@ -905,14 +905,14 @@ def test_failed_child_piece_exits_2_and_leaves_nothing(tmp_path, capsys, monkeyp
 
 def test_child_piece_that_ends_without_a_report_exits_2(tmp_path, capsys, monkeypatch):
     forked(monkeypatch, 2)
-    parent, savetxt = os.getpid(), np.savetxt
+    parent, write = os.getpid(), _numtext.write
 
-    def dying_savetxt(*args, **kwargs):
+    def dying_write(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)   # no exception to report
-        savetxt(*args, **kwargs)
+        write(*args, **kwargs)
 
-    monkeypatch.setattr(np, "savetxt", dying_savetxt)
+    monkeypatch.setattr(_numtext, "write", dying_write)
     out = tmp_path / "out"
     assert main(["factorize", "--config", bm_config(tmp_path, n=8), "--out", str(out)]) == 2
     no_children_left()

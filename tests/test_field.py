@@ -280,6 +280,35 @@ def test_gram_covariance_matches_draws(fld, data, seed, block_rows, tile):
     assert np.array_equal(E, E.T)
 
 
+@pytest.mark.parametrize("gram", [False, True], ids=["draws", "noise-gram"])
+def test_empirical_covariance_keeps_the_bits_of_its_whole_array_expression(monkeypatch, gram):
+    n_draws, m, seed = 300, 20, 4
+    fld = build_field(builtin_kernel("fbm", {"hurst": 0.7}), interval_grid(64))
+    monkeypatch.setattr(field, "_gram_pays", lambda *shape: gram)
+    batch = sample(fld, n_draws, m, seed)
+    if gram:
+        F = batch.factor
+        moment = F @ noise_gram(n_draws, m, seed, stride=batch.stride) @ F.T / n_draws
+        expected = moment.copy()   # the upper triangle mirrored onto the lower
+        lower = np.tril_indices(len(moment), -1)
+        expected[lower] = moment.T[lower]
+    else:
+        expected = (batch.draws.T @ batch.draws) / n_draws
+    assert empirical_covariance(batch).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_orthonormality_check_keeps_the_bits_of_its_whole_array_expression(n):
+    space = interval_grid(n)
+    C = assemble(builtin_kernel("fbm", {"hurst": 0.7}), space)
+    dec = decompose(C, space)
+    V = dec.whitened_vectors()
+    expected = float(np.max(np.abs(V.T @ V - np.eye(dec.rank)), initial=0.0))
+    checks = verify.battery(C, dec, gauge="symmetric_sqrt", gauge_seed=0, seed=0, n_draws=50,
+                            reproducing_functions=1, duality_pairs=1)
+    assert [c["error"] for c in checks if c["name"] == "eigenfunction_orthonormality"] == [expected]
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("gauge", ["symmetric_sqrt", "triangular", "rotated"])
 def test_verify_band_is_the_library_moment(gauge, seed):

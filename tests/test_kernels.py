@@ -319,3 +319,60 @@ def test_kernels_error_branches(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def _old_builtin(name, params):
+    """Each builtin as one expression of whole arrays, as it was written
+    before it was computed in place."""
+    if name == "brownian_motion":
+        return lambda s, t: np.minimum(s, t)
+    if name == "brownian_bridge":
+        return lambda s, t: np.minimum(s, t) - s * t
+    if name == "fbm":
+        twoH = 2.0 * params["hurst"]
+        return lambda s, t: 0.5 * (np.abs(s) ** twoH + np.abs(t) ** twoH - np.abs(s - t) ** twoH)
+    if name == "squared_exponential":
+        def sqexp(s, t):
+            d2 = (s - t) ** 2
+            if np.ndim(d2) > 2:
+                d2 = d2.sum(axis=-1)
+            return np.exp(-d2 / (2.0 * params["length_scale"] ** 2))
+        return sqexp
+
+    def white(s, t):
+        eq = s == t
+        if np.ndim(eq) > 2:
+            eq = eq.all(axis=-1)
+        return np.where(eq, params["sigma2"], 0.0)
+    return white
+
+
+_BIT_FOR_BIT = [
+    ("brownian_motion", {}),
+    ("brownian_bridge", {}),
+    ("fbm", {"hurst": 0.25}),   # 2H = 0.5: ** takes numpy's sqrt
+    ("fbm", {"hurst": 0.5}),
+    ("fbm", {"hurst": 0.7}),
+    ("squared_exponential", {"length_scale": 0.1}),
+    ("squared_exponential", {"length_scale": 1.0}),
+    ("white_diagonal", {"sigma2": 1e308}),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+@pytest.mark.parametrize("name,params", _BIT_FOR_BIT)
+def test_builtins_keep_the_bits_of_their_whole_array_expressions(name, params, n):
+    space = interval_grid(n)
+    pts = space.points
+    expected = _old_builtin(name, params)(pts[:, None], pts[None, :])
+    assert assemble(builtin_kernel(name, params), space).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name,params", [
+    ("squared_exponential", {"length_scale": 0.3}), ("white_diagonal", {"sigma2": 2.5})])
+def test_builtins_keep_their_bits_on_points_in_the_plane(name, params):
+    pts = np.random.default_rng(5).random((40, 2))
+    pts[7, 0] = pts[3, 0]   # one coordinate shared: white noise needs both to be equal
+    space = DiscreteMeasureSpace(points=pts, weights=np.full(40, 1 / 40))
+    expected = _old_builtin(name, params)(pts[:, None, :], pts[None, :, :])
+    assert assemble(builtin_kernel(name, params), space).tobytes() == expected.tobytes()
