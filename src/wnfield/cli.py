@@ -277,9 +277,16 @@ def _load_csv(source, path: Path, what: str) -> np.ndarray:
 
 def _decompose(config: dict, base_dir: Path):
     """The config's covariance matrix C and its decomposition."""
-    space = build_space(config)
+    space = build_space(config)   # before the kernel: a bad space is reported first
     C = kernels.assemble(build_kernel(config, base_dir), space)
     return C, spectral.decompose(C, space, drop_tol=config["drop_tol"])
+
+
+def _field(config: dict, base_dir: Path) -> field.GaussianField:
+    """The config's field, from ``field.build_field``."""
+    space = build_space(config)   # before the kernel, as in ``_decompose``
+    return field.build_field(build_kernel(config, base_dir), space, config["gauge"],
+                             config["drop_tol"], config["gauge_seed"])
 
 
 def _apply_overrides(config: dict, args):
@@ -555,9 +562,7 @@ def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
 
 
 def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
-    dec = _decompose(config, base_dir)[1]
-    h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
-    fld = field.GaussianField(dec.space, dec, h)
+    fld = _field(config, base_dir)
     options = config.get("sample", {})
     n_draws = options.get("n_draws", 100)
     seed = config["seed"]
@@ -726,9 +731,7 @@ def cmd_tangent(config: dict, out_dir: Path, base_dir: Path) -> int:
     options = config.get("tangent")
     if not options:
         raise UsageError("tangent command needs a 'tangent' section in the config")
-    dec = _decompose(config, base_dir)[1]
-    h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
-    fld = field.GaussianField(dec.space, dec, h)
+    fld = _field(config, base_dir)
     try:
         gram = field.tangent_gram(
             fld, options["t_index"], options["offsets"], options["r"]

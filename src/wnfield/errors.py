@@ -1,5 +1,9 @@
 """Exception types shared across the toolkit."""
 
+import contextlib
+
+import numpy as np
+
 
 class DimensionMismatchError(ValueError):
     """Operands whose sizes must agree do not."""
@@ -15,6 +19,17 @@ class InvalidParameterError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric quantity that must be finite is not."""
+
+
+@contextlib.contextmanager
+def overflow_raises(what: str):
+    """Raise numpy's overflow or invalid-value warning in the block as a
+    NumericError naming ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{what}: {exc}") from exc
 
 
 class NotPositiveSemidefiniteError(NumericError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatchError, InsufficientSamplesError
+from .errors import DimensionMismatchError, InsufficientSamplesError, overflow_raises
 from .kernels import CovarianceKernel, _upper_tiles, assemble
 from .spaces import DiscreteMeasureSpace
 from .spectral import (
@@ -46,21 +46,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianField:
-    """A centered Gaussian field: space, spectral data, and chosen factor."""
+    """A centered Gaussian field: its decomposition (and so its space) and factor."""
 
-    space: DiscreteMeasureSpace
     dec: MercerDecomposition
     factor: WhiteNoiseKernel
 
     def __post_init__(self):
-        n, m = self.space.size, self.dec.rank
-        if not (np.array_equal(self.dec.space.points, self.space.points)
-                and np.array_equal(self.dec.space.weights, self.space.weights)):
-            raise DimensionMismatchError("decomposition does not match space points and weights")
-        if self.factor.factor.shape != (n, m):
+        shape = (self.dec.space.size, self.dec.rank)
+        if self.factor.factor.shape != shape:
             raise DimensionMismatchError(
-                f"factor shape {self.factor.factor.shape} does not match ({n}, {m})"
-            )
+                f"factor shape {self.factor.factor.shape} does not match {shape}")
+
+    @property
+    def space(self) -> DiscreteMeasureSpace:
+        return self.dec.space
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def build_field(
     C = assemble(kernel, space)
     dec = decompose(C, space, drop_tol=drop_tol)
     h = factorize(dec, gauge=gauge, seed=gauge_seed)
-    return GaussianField(space=space, dec=dec, factor=h)
+    return GaussianField(dec, h)
 
 
 #: generated variates per row block that ``noise_blocks`` yields (16 MB)
@@ -101,8 +100,8 @@ _BLOCK_VARIATES = 2**21
 #: time (n 128-2048, N 500-20000, 2 CPUs), the switch falls at m between
 #: about n/8 and n/3
 _VARIATE_MADDS = 1000
-#: most variates buffered at a time when the stride leaves uniforms unused
-_CHUNK_VARIATES = 2**16
+#: variates ``noise_matrix`` generates at a time into its one buffer (128 KB)
+_CHUNK_VARIATES = 2**14
 
 
 def _row_width(stride: int) -> int:
@@ -123,7 +122,8 @@ def noise_matrix(
     first ``m`` variates, transformed by the normal inverse CDF (fixed
     consumption of one stream position per variate keeps rows addressable:
     any row range can be regenerated independently). Rows are filled in
-    order from one stream advanced to ``row_start``.
+    order from one stream advanced to ``row_start``, about
+    ``_CHUNK_VARIATES`` variates at a time through one buffer.
     """
     if stride is None:
         stride = m
@@ -136,10 +136,11 @@ def noise_matrix(
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(row_start * width // 4)
     gen = np.random.Generator(bitgen)
-    step = n_draws if m == width else max(1, _CHUNK_VARIATES // width)
+    step = max(1, _CHUNK_VARIATES // width)
+    buffer = np.empty((min(step, n_draws), width))
     for r0 in range(0, n_draws, step):
         dest = out[r0:r0 + step]
-        u = dest if m == width else np.empty((len(dest), width))
+        u = buffer[:len(dest)]
         gen.random(out=u)
         np.maximum(u, 2.0**-53, out=u)   # ndtri(0) = -inf; probability 2^-53 per variate
         ndtri(u[:, :m], out=dest)
@@ -330,7 +331,7 @@ def tangent_gram(
 
     G_ab = <(h(x_{t+o_a}) - h(x_t))/r, (h(x_{t+o_b}) - h(x_t))/r> in the
     noise coordinates; captures the local structure of the field at the
-    node for the scaling exponent implied by r.
+    node for the scaling exponent implied by r. Overflow raises NumericError.
     """
     if r <= 0.0:
         raise ValueError(f"scaling r must be > 0, got {r}")
@@ -344,5 +345,6 @@ def tangent_gram(
             f"shifted indices {shifted.tolist()} fall outside [0, {n})"
         )
     F = field.factor.factor
-    D = (F[shifted, :] - F[t_index, :]) / r
-    return D @ D.T
+    with overflow_raises("tangent Gram matrix"):
+        D = (F[shifted, :] - F[t_index, :]) / r
+        return D @ D.T

@@ -74,9 +74,15 @@ class DiscreteMeasureSpace:
         return float(np.dot(f * self.weights, g))
 
     def norm(self, f) -> float:
-        """Weighted L2 norm sqrt(inner(f, f))."""
+        """Weighted L2 norm sqrt(inner(f, f)); where the squares overflow, a
+        finite f is first divided by max |f_i|."""
         f = self._check_length(f, "f")
-        return float(np.sqrt(np.dot(f * f, self.weights)))
+        with np.errstate(over="ignore"):
+            squares = np.dot(f * f, self.weights)
+        if squares == np.inf and np.all(np.isfinite(f)):
+            top = np.max(np.abs(f))
+            return float(top * np.sqrt(np.dot((f / top) ** 2, self.weights)))
+        return float(np.sqrt(squares))
 
 
 def interval_grid(n: int) -> DiscreteMeasureSpace:

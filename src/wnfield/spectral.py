@@ -66,13 +66,13 @@ DEGENERACY_TOL = 1e-12
 class MercerDecomposition:
     """Retained eigenpairs of the covariance operator on a space.
 
-    ``eigenfunctions`` has shape (n, rank); column k holds phi_k at the
-    nodes, orthonormal in the weighted inner product. ``eigenvalues`` are
-    sorted descending and strictly above the drop threshold;
-    ``dropped_mass`` is the total eigenvalue mass discarded (tiny negatives
-    clamped to zero first) and ``clamped_mass`` the total |lambda| of the
-    negative eigenvalues clamped to zero, so that the operator trace is
-    sum(eigenvalues) + dropped_mass - clamped_mass.
+    ``eigenvalues`` are sorted descending and strictly above the drop
+    threshold, and ``rank`` is their number; ``eigenfunctions`` has shape
+    (n, rank), and column k holds phi_k at the nodes, orthonormal in the
+    weighted inner product. ``dropped_mass`` is the total eigenvalue mass
+    discarded (tiny negatives clamped to zero first) and ``clamped_mass``
+    the total |lambda| of the negative eigenvalues clamped to zero, so that
+    the operator trace is sum(eigenvalues) + dropped_mass - clamped_mass.
 
     ``tail_bound`` is 0.0 when the whole spectrum was computed. When the
     eigenpairs come from a randomized sketch it is the certified residual
@@ -85,11 +85,14 @@ class MercerDecomposition:
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    rank: int
     dropped_mass: float
     clamped_mass: float
     space: DiscreteMeasureSpace
     tail_bound: float = 0.0
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size
 
     def reconstruction(self) -> np.ndarray:
         """Rank-m covariance rebuild sum_k lambda_k phi_k phi_k^T."""
@@ -390,7 +393,6 @@ def decompose(
     return MercerDecomposition(
         eigenvalues=lam_kept,
         eigenfunctions=phi,
-        rank=int(lam_kept.size),
         dropped_mass=dropped_mass,
         clamped_mass=clamped_mass,
         space=space,

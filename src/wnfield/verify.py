@@ -3,7 +3,8 @@
 The white-noise factor is unique only up to an orthogonal gauge, and every
 truncation of the series sum_k xi_k h_k is a function of the same noise
 vector, so one factor per gauge and one noise matrix serve every check.
-Each check is a record ``{name, pass, error, tolerance, detail}``.
+Each check is a record ``{name, pass, error, tolerance, detail}``; a
+statistic that overflows or is not finite raises NumericError naming its check.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chaos, field, integrals, kernels, spectral
+from .errors import NumericError, overflow_raises
 
 __all__ = ["DEFAULT_TOLERANCES", "check", "battery"]
 
@@ -26,6 +28,8 @@ DEFAULT_TOLERANCES = {
 
 
 def check(name: str, error: float, tolerance: float, detail: str = "") -> dict:
+    if not np.isfinite(error):
+        raise NumericError(f"check {name}: error is {error}")
     return {
         "name": name,
         "pass": bool(error <= tolerance),
@@ -38,14 +42,19 @@ def check(name: str, error: float, tolerance: float, detail: str = "") -> dict:
 def _factor_checks(C, dec, factors: dict, tol: dict) -> list[dict]:
     """hh^T = C for each gauge's factor, and the spread across gauges."""
     scale = tol["factorization"] * (dec.eigenvalues[0] if dec.rank else 0.0)
-    reproduced = {g: spectral.reproduce_covariance(h, dec.space) for g, h in factors.items()}
-    checks = [check(f"factorization_identity[{g}]", float(np.max(np.abs(R - C))), scale,
-                    "max entrywise |hh^T - C|") for g, R in reproduced.items()]
+    reproduced, checks = {}, []
+    for g, h in factors.items():
+        name = f"factorization_identity[{g}]"
+        with overflow_raises(f"check {name}"):
+            R = reproduced[g] = spectral.reproduce_covariance(h, dec.space)
+            checks.append(check(name, float(np.max(np.abs(R - C))), scale,
+                                "max entrywise |hh^T - C|"))
     gauges = list(reproduced)
-    spread = max(float(np.max(np.abs(reproduced[a] - reproduced[b])))
-                 for i, a in enumerate(gauges) for b in gauges[i + 1:])
-    checks.append(check("gauge_invariance", spread, scale,
-                        "max entrywise spread of reproduced covariances"))
+    with overflow_raises("check gauge_invariance"):
+        spread = max(float(np.max(np.abs(reproduced[a] - reproduced[b])))
+                     for i, a in enumerate(gauges) for b in gauges[i + 1:])
+        checks.append(check("gauge_invariance", spread, scale,
+                            "max entrywise spread of reproduced covariances"))
     return checks
 
 
@@ -56,27 +65,29 @@ def _spectral_checks(C, dec, canonical, rng, n_functions: int, tol: dict) -> lis
     Row x of the canonical factor Phi Lambda^{1/2} holds the RKHS
     coordinates of the section K(x, .), so one matmul covers every node.
     """
-    V = dec.whitened_vectors()
+    V = dec.whitened_vectors()   # orthonormal columns: nothing here can overflow
     gram = V.T @ V
     gram[np.diag_indices(dec.rank)] -= 1.0   # V^T V - I
     ortho = float(np.max(np.abs(gram, out=gram), initial=0.0))   # rank may be 0
-    trace = kernels.trace_of_operator(C, dec.space)
-    rel_err = abs(trace - float(dec.eigenvalues.sum())) / max(abs(trace), 1e-300)
-    root_diag = np.sqrt(np.maximum(np.diag(C), 0.0))
-    worst = 0.0
-    for _ in range(n_functions):
-        coeffs = rng.standard_normal(dec.rank)
-        fvec = dec.eigenfunctions @ (np.sqrt(dec.eigenvalues) * coeffs)
-        element = spectral.to_rkhs(fvec, dec)
-        scale = np.maximum(np.sqrt(element.norm_squared()) * root_diag, 1e-300)
-        residual = np.abs(canonical.factor @ element.coeffs - fvec) / scale
-        worst = max(worst, float(np.max(residual)))
-    return [
-        check("eigenfunction_orthonormality", ortho, tol["orthonormality"]),
-        check("trace_consistency", rel_err, tol["trace"], "relative |trace - sum of eigenvalues|"),
-        check("reproducing_property", worst, tol["reproducing"],
-              "scaled |<f, K(x,.)> - f(x)| over random eigen-span f"),
-    ]
+    checks = [check("eigenfunction_orthonormality", ortho, tol["orthonormality"])]
+    with overflow_raises("check trace_consistency"):
+        trace = kernels.trace_of_operator(C, dec.space)
+        rel_err = abs(trace - float(dec.eigenvalues.sum())) / max(abs(trace), 1e-300)
+        checks.append(check("trace_consistency", rel_err, tol["trace"],
+                            "relative |trace - sum of eigenvalues|"))
+    with overflow_raises("check reproducing_property"):
+        root_diag = np.sqrt(np.maximum(np.diag(C), 0.0))
+        worst = 0.0
+        for _ in range(n_functions):
+            coeffs = rng.standard_normal(dec.rank)
+            fvec = dec.eigenfunctions @ (np.sqrt(dec.eigenvalues) * coeffs)
+            element = spectral.to_rkhs(fvec, dec)
+            scale = np.maximum(np.sqrt(element.norm_squared()) * root_diag, 1e-300)
+            residual = np.abs(canonical.factor @ element.coeffs - fvec) / scale
+            worst = max(worst, float(np.max(residual)))
+        checks.append(check("reproducing_property", worst, tol["reproducing"],
+                            "scaled |<f, K(x,.)> - f(x)| over random eigen-span f"))
+    return checks
 
 
 def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
@@ -94,22 +105,24 @@ def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
     sum((A_t^T W A_t) * G_t) / N. No draw and no full noise matrix is held.
     """
     G = field.noise_gram(n_draws, dec.rank, seed)
-    emp = field._noise_moment(factor.factor, G, n_draws)
-    se = field.covariance_standard_error(C, n_draws)
-    band = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
-    checks = [check("empirical_covariance_band", band, band_se,
-                    f"max |Chat - C| in standard errors, N={n_draws}")]
+    with overflow_raises("check empirical_covariance_band"):
+        emp = field._noise_moment(factor.factor, G, n_draws)
+        se = field.covariance_standard_error(C, n_draws)
+        band = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
+        checks = [check("empirical_covariance_band", band, band_se,
+                        f"max |Chat - C| in standard errors, N={n_draws}")]
     if dec.rank >= 2:
-        worst = 0.0
-        for m in {1, dec.rank // 2}:
-            tail = canonical.factor[:, m:]
-            gram = tail.T @ (tail * dec.space.weights[:, None])
-            mean_sq = float(np.sum(gram * G[m:, m:])) / n_draws
-            target = field.truncation_error(dec, m)
-            tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
-            worst = max(worst, abs(mean_sq - target) / max(tail_se, 1e-300))
-        checks.append(check("truncation_band", worst, band_se,
-                            "empirical L2 truncation error in standard errors"))
+        with overflow_raises("check truncation_band"):
+            worst = 0.0
+            for m in {1, dec.rank // 2}:
+                tail = canonical.factor[:, m:]
+                gram = tail.T @ (tail * dec.space.weights[:, None])
+                mean_sq = float(np.sum(gram * G[m:, m:])) / n_draws
+                target = field.truncation_error(dec, m)
+                tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
+                worst = max(worst, abs(mean_sq - target) / max(tail_se, 1e-300))
+            checks.append(check("truncation_band", worst, band_se,
+                                "empirical L2 truncation error in standard errors"))
     return checks
 
 

@@ -711,6 +711,13 @@ def test_bad_custom_space_exits_2(tmp_path, capsys):
     assert main(["factorize", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+BAD_SPACE_ABSENT_KERNEL = {
+    "space": {"type": "custom", "points": [0.1, 0.4], "weights": [0.2, -0.5]},
+    "kernel": {"name": "custom", "file": "absent.csv"},
+}
+#: the largest white-noise variance: a valid field whose statistics overflow
+HUGE_WHITE_NOISE = {"kernel": {"name": "white_diagonal", "params": {"sigma2": 1e308}}, "seed": 3}
+
 #: command, config keys over a Brownian motion on 8 nodes, flags, files
 #: beside the config, exit code, and a fragment of the one stderr line (for
 #: exit 0, the truncation that samples_meta.json records)
@@ -747,6 +754,19 @@ CLI_BRANCHES = [
                  "tangent command needs a 'tangent' section", id="tangent-without-section"),
     pytest.param("tangent", {"tangent": {"t_index": 8, "offsets": [1], "r": 0.5}}, [], {}, 2,
                  "base index 8 out of range for size 8", id="tangent-index-out-of-range"),
+    # the space is built before the kernel: its error is the one reported
+    *[pytest.param(command, {**BAD_SPACE_ABSENT_KERNEL, **extra}, [], {}, 2,
+                   "error: bad space spec: weights must be finite and strictly positive\n",
+                   id=f"{command}-bad-space-before-absent-kernel")
+      for command, extra in [("factorize", {}), ("sample", {}), ("verify", {}),
+                             ("tangent", {"tangent": {"t_index": 1, "offsets": [1], "r": 0.5}})]],
+    # statistics that overflow on a valid field: one line naming what overflowed
+    pytest.param("verify", HUGE_WHITE_NOISE, [], {}, 1,
+                 "error: check empirical_covariance_band: overflow encountered in matmul\n",
+                 id="verify-statistic-overflows"),
+    pytest.param("tangent", {**HUGE_WHITE_NOISE, "tangent": {"t_index": 2, "offsets": [1], "r": 0.5}},
+                 [], {}, 1, "error: tangent Gram matrix: overflow encountered in matmul\n",
+                 id="tangent-gram-overflows"),
 ]
 
 
@@ -763,6 +783,29 @@ def test_cli_branch_exit_codes(tmp_path, capsys, command, extra, flags, files, c
         assert json.loads((out / "samples_meta.json").read_text())["truncation"] == expected
     else:
         assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
+
+
+@pytest.mark.parametrize("command", ["factorize", "sample", "integrate"])
+def test_huge_white_noise_factors_samples_and_integrates(tmp_path, capsys, command):
+    extra = {**HUGE_WHITE_NOISE, "sample": {"n_draws": 10},
+             "integrate": {"n_draws": 10, "integrand": {"components": ["1"]}}}
+    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sample", {"sample": {"n_draws": 3}}),
+    ("tangent", {"tangent": {"t_index": 2, "offsets": [1], "r": 0.5}}),
+])
+def test_sample_and_tangent_take_their_field_from_build_field(tmp_path, monkeypatch, command,
+                                                              extra):
+    calls = []
+    build = field.build_field
+    monkeypatch.setattr(field, "build_field", lambda *args: calls.append(args) or build(*args))
+    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["factorize", "sample", "verify", "integrate", "tangent"])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import threading
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wnfield import field, kernels, verify
-from wnfield.errors import DimensionMismatchError, InsufficientSamplesError
+from wnfield.errors import DimensionMismatchError, InsufficientSamplesError, NumericError
 from wnfield.field import (
     GaussianField,
     SampleBatch,
@@ -117,17 +118,20 @@ def test_gauge_does_not_change_sampling_distribution():
         assert np.max(np.abs(emp - C) / se) < 5.0
 
 
-def test_field_rejects_decomposition_on_other_weights():
-    points = [0.1, 0.4, 0.9]
-    b = DiscreteMeasureSpace(points=points, weights=[0.125, 0.5, 0.375])
-    dec = decompose(assemble(builtin_kernel("brownian_motion"), b), b)
-    same = DiscreteMeasureSpace(points=points, weights=[0.125, 0.5, 0.375])
-    assert GaussianField(space=same, dec=dec, factor=factorize(dec)).space is same
-    for other in (DiscreteMeasureSpace(points=points, weights=[0.1875, 0.5, 0.3125]),
-                  DiscreteMeasureSpace(points=[0.2, 0.8, 1.8], weights=[0.125, 0.5, 0.375]),
-                  interval_grid(4)):
-        with pytest.raises(DimensionMismatchError):
-            GaussianField(space=other, dec=dec, factor=factorize(dec))
+def test_field_is_its_decomposition_and_factor():
+    # the space and the rank are stored once: in the decomposition, and as
+    # the number of its eigenvalues
+    assert [f.name for f in dataclasses.fields(GaussianField)] == ["dec", "factor"]
+    b = DiscreteMeasureSpace(points=[0.1, 0.4, 0.9], weights=[0.125, 0.5, 0.375])
+    fld = build_field(builtin_kernel("brownian_motion"), b)
+    assert fld.space is fld.dec.space is b
+    sketched = build_field(builtin_kernel("squared_exponential", {"length_scale": 0.1}),
+                           interval_grid(1024)).dec
+    assert sketched.tail_bound > 0.0   # the randomized sketch was kept
+    rank_0 = decompose(assemble(builtin_kernel("brownian_motion"), b), b, drop_tol=1e300)
+    for dec in (rank_0, fld.dec, sketched):
+        assert type(dec.rank) is int and dec.rank == dec.eigenvalues.size
+    assert (rank_0.rank, fld.dec.rank) == (0, 3) and 0 < sketched.rank < 1024
 
 
 def test_largest_white_noise_variance_builds_a_field():
@@ -195,6 +199,29 @@ def test_noise_rows_are_order_independent():
     A = noise_matrix(12, 5, seed=42)
     B = noise_matrix(4, 5, seed=42, row_start=6)
     assert np.array_equal(B, A[6:10])
+
+
+#: SHA-256 of the bytes of noise_matrix(n_draws, m, seed, row_start, stride),
+#: for rows that use every uniform they own (m == width) and rows that leave
+#: some unused (m < width); the bits must never move
+NOISE_DIGESTS = [
+    ((8197, 8, 11, 3, None), "2df05f1d4a9c12ae204c90067b1e3510a4ccab736d33a40ba4b509844f533608"),
+    ((135, 1024, 11, 5, None), "23d2b98c109a2834a2b6347ba109e77211d94a8e6637e65e4c6bbff4a8c152d8"),
+    ((1, 8, 2, 0, None), "22a084283d19d8cf5cc55755c2f121d4e9f07db68f9b73998e0f72d59353589a"),
+    ((8197, 5, 11, 3, 7), "c99553964a6e5a24cee974e4293475b24cf9a05618b2c3380311b0d8e5b05fe5"),
+    ((135, 1000, 11, 5, 1023), "b1b956754f2e193dbe2c4dffc38f51149e55586dad3377e24a71fd05db61fcad"),
+    ((4100, 3, 4, 9, None), "48f2ae821f6adc1c54ef219d6b1b0027de7c4a2303ada217b688622776cc6064"),
+]
+
+
+@pytest.mark.parametrize("args,digest", NOISE_DIGESTS)
+def test_noise_keeps_its_bits(args, digest):
+    n_draws, m, seed, row_start, stride = args
+    width = field._row_width(m if stride is None else stride)
+    if n_draws > 1:   # rows that straddle a chunk boundary
+        assert n_draws % max(1, field._CHUNK_VARIATES // width) not in (0, n_draws)
+    xi = noise_matrix(n_draws, m, seed, row_start, stride)
+    assert hashlib.sha256(xi.tobytes()).hexdigest() == digest
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -319,13 +346,38 @@ def test_verify_band_is_the_library_moment(gauge, seed):
     C = assemble(builtin_kernel("squared_exponential", {"length_scale": 0.1}), space)
     dec = decompose(C, space)
     assert field._gram_pays(n_draws, n, dec.rank, dec.rank)
-    fld = GaussianField(space=space, dec=dec, factor=factorize(dec, gauge, seed=gauge_seed))
+    fld = GaussianField(dec, factorize(dec, gauge, seed=gauge_seed))
     E = empirical_covariance(sample(fld, n_draws, seed=seed))
     se = covariance_standard_error(C, n_draws)
     band = float(np.max(np.abs(E - C) / np.maximum(se, 1e-300)))
     checks = verify.battery(C, dec, gauge=gauge, gauge_seed=gauge_seed, seed=seed,
                             n_draws=n_draws, reproducing_functions=1, duality_pairs=1)
     assert [c["error"] for c in checks if c["name"] == "empirical_covariance_band"] == [band]
+
+
+@pytest.mark.parametrize("gauge", ["symmetric_sqrt", "triangular", "rotated"])
+@pytest.mark.parametrize("name,params,n", [("brownian_motion", {}, 16),
+                                           ("fbm", {"hurst": 0.7}, 32)], ids=["bm", "fbm"])
+def test_verify_truncation_band_is_that_of_sampled_draws(name, params, n, gauge):
+    # criterion 4's statistic from real draws: full minus truncated draws of
+    # the canonical field at the battery's seed, so the battery reads the
+    # noise at the stride field.sample uses, under every sampled gauge
+    n_draws, seed = 4000, 17
+    space = interval_grid(n)
+    C = assemble(builtin_kernel(name, params), space)
+    dec = decompose(C, space)
+    canonical = GaussianField(dec, factorize(dec))
+    full = sample(canonical, n_draws, seed=seed).draws
+    worst = 0.0
+    for m in (1, dec.rank // 2):
+        trunc = sample(canonical, n_draws, m=m, seed=seed).draws
+        sq = ((full - trunc) ** 2 * space.weights[None, :]).sum(axis=1)
+        tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
+        worst = max(worst, abs(float(sq.mean()) - truncation_error(dec, m)) / tail_se)
+    checks = verify.battery(C, dec, gauge=gauge, gauge_seed=3, seed=seed, n_draws=n_draws,
+                            reproducing_functions=1, duality_pairs=1)
+    [band] = [c["error"] for c in checks if c["name"] == "truncation_band"]
+    assert worst > 0.0 and band == pytest.approx(worst, rel=1e-9)
 
 
 def test_full_rank_and_hand_built_batches_use_the_draws(monkeypatch):
@@ -453,8 +505,7 @@ def test_tangent_gram_validation():
 
 def _field_with_factor_columns(m):
     fld = build_field(builtin_kernel("brownian_motion"), interval_grid(4))
-    return GaussianField(space=fld.space, dec=fld.dec,
-                         factor=WhiteNoiseKernel(fld.factor.factor[:, :m], "symmetric_sqrt"))
+    return GaussianField(fld.dec, WhiteNoiseKernel(fld.factor.factor[:, :m], "symmetric_sqrt"))
 
 
 #: calls that must fail, the exception each raises and its message
@@ -465,6 +516,10 @@ FIELD_BRANCHES = [
                  "width 5 exceeds stride 4", id="width-above-stride"),
     pytest.param(lambda: noise_matrix(0, 3, 0), ValueError, "need at least one draw",
                  id="no-draws"),
+    pytest.param(lambda: tangent_gram(build_field(builtin_kernel("white_diagonal", {"sigma2": 1e308}),
+                                                  interval_grid(4)), 1, [1], 0.5),
+                 NumericError, "tangent Gram matrix: overflow encountered in matmul",
+                 id="tangent-gram-overflow"),
 ]
 
 

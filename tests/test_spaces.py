@@ -49,6 +49,15 @@ def test_norm_examples():
     assert unit.norm(np.ones(8)) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_norm_of_values_whose_squares_overflow():
+    # runs under warnings-as-errors: the squares overflow without a warning
+    sp = DiscreteMeasureSpace(points=[0.0, 1.0], weights=[1.0, 1.0])
+    assert sp.norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+    assert sp.norm([1e308, 1e308]) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+    assert sp.norm([np.inf, 1.0]) == np.inf
+    assert np.isnan(sp.norm([np.nan, 1e200]))
+
+
 def test_inner_length_mismatch():
     sp = interval_grid(4)
     with pytest.raises(DimensionMismatchError):
