@@ -24,14 +24,15 @@ import argparse
 import functools
 import json
 import math
+import multiprocessing
 import os
-import pickle
 import secrets
 import shutil
-import signal
 import sys
 import warnings
 from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -405,42 +406,13 @@ def _write_rows(path: Path, file: Path, write, r0: int, r1: int):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _fork(work):
-    """Run ``work()`` in a forked child that leaves through ``os._exit``:
-    0 when it returned, 1 after writing its pickled exception to a pipe.
-    Returns (pid, read end of that pipe), or None when fork fails."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        try:
-            work()
-            status = 0
-        except BaseException as exc:   # the parent raises every error a child reports
-            with os.fdopen(write, "wb") as fh:
-                fh.write(pickle.dumps(exc))
-    finally:
-        os._exit(status)
+#: the piece formatter of the ``_publish`` call under way; its pool's
+#: workers inherit it at the fork, as a ``write`` closure cannot be pickled
+_format_piece = None
 
 
-def _reap(pid: int, read: int, target: Path):
-    """Wait for a child of ``_fork``: the exception it reported or, when it
-    ended without one, a ``UsageError`` naming ``target``; None on success."""
-    report = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-    error = pickle.loads(report) if report else None   # written by this program's child
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if error is None and code:
-        error = UsageError(f"cannot write {target}: formatting process ended with status {code}")
-    return error
+def _format_inherited(piece):
+    _format_piece(piece)
 
 
 def _publish(outputs: list[_Output]):
@@ -449,12 +421,14 @@ def _publish(outputs: list[_Output]):
 
     The rows are cut into pieces (``_pieces``), one per CPU this process
     may use, but none of fewer than ``_PIECE_VALUES`` numbers. Piece 0 is
-    formatted here while a forked child formats each other piece; a run of
-    rows from row 0 goes into the output's temp file, a later run into a
-    part file that is appended to the temp file in order. A piece whose
-    child cannot be forked is formatted here too. The error of the first
-    failed piece is raised, and no temp or part file is left.
+    formatted here while each other piece goes to a worker of a forked
+    process pool; a run of rows from row 0 goes into the output's temp
+    file, a later run into a part file that is appended to the temp file
+    in order. Where the pool cannot be built or cannot fork, every piece
+    is formatted here. The error of the first failed piece is raised, once
+    every worker has finished, and no temp or part file is left.
     """
+    global _format_piece
     count = max(1, min(_cpu_count(), sum(o.rows * o.width for o in outputs) // _PIECE_VALUES))
     pieces = _pieces(outputs, count)
     token = secrets.token_hex(8)
@@ -468,21 +442,27 @@ def _publish(outputs: list[_Output]):
             _write_rows(outputs[i].path, file(i, r0), outputs[i].write, r0, r1)
 
     runs = [(i, r0) for piece in pieces for i, r0, _ in piece]
-    children = {}
+    _format_piece, pool, futures = format_piece, None, []
     try:
-        for k, piece in enumerate(pieces[1:], 1):
-            child = _fork(functools.partial(format_piece, piece))
-            if child is not None:
-                children[k] = child
-        format_piece(pieces[0])
-        for k, piece in enumerate(pieces[1:], 1):
-            if k not in children:
-                format_piece(piece)
-                continue
-            error = _reap(*children[k], outputs[piece[0][0]].path)
-            os.close(children.pop(k)[1])
-            if error is not None:
-                raise error
+        if len(pieces) > 1:
+            try:   # the first submit forks every worker
+                pool = ProcessPoolExecutor(len(pieces) - 1, multiprocessing.get_context("fork"))
+                futures = [pool.submit(_format_inherited, piece) for piece in pieces[1:]]
+            except (OSError, NotImplementedError):   # no pool, or not every worker forked
+                # workers forked before a fork failed wait for calls that never
+                # come, and this process's exit would wait for them
+                for worker in getattr(pool, "_processes", {}).values():
+                    worker.terminate()
+                    worker.join()
+                pool = None
+        for piece in pieces[:len(pieces) - len(futures)]:   # piece 0, or all with no pool
+            format_piece(piece)
+        for future, piece in zip(futures, pieces[1:]):
+            try:
+                future.result()
+            except BrokenProcessPool:
+                raise UsageError(f"cannot write {outputs[piece[0][0]].path}: formatting "
+                                 "process ended without a report") from None
         try:
             for i, o in enumerate(outputs):   # each part onto its temp file, in order
                 for part in [file(j, r0) for j, r0 in runs if j == i and r0]:
@@ -494,13 +474,9 @@ def _publish(outputs: list[_Output]):
         except OSError as exc:
             raise UsageError(f"cannot write {o.path}: {exc.strerror}") from exc
     finally:
-        for pid, read in children.values():   # left only on an error
-            os.close(read)
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):   # reaped already
-                pass
+        if pool is not None:
+            pool.shutdown()   # waits for every worker to finish its pieces
+        _format_piece = futures = future = None   # a future's error holds this frame
         for i, r0 in runs:
             if os.path.exists(file(i, r0)):   # not renamed or appended: an error
                 os.unlink(file(i, r0))

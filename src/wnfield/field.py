@@ -268,15 +268,23 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     return _noise_moment(F, G, n_draws)
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e), 2^e the power of two just above max |x_i| (e = 0 if x is
+    zero or not finite): an exact scaling whose squares cannot overflow."""
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
 def covariance_standard_error(C: np.ndarray, n_draws: int) -> np.ndarray:
     """Entrywise standard error of the centered covariance estimator.
 
     For centered jointly Gaussian coordinates, Var(X_i X_j) =
-    C_ii C_jj + C_ij^2, so SE_ij = sqrt((C_ii C_jj + C_ij^2) / N).
+    C_ii C_jj + C_ij^2, so SE_ij = sqrt((C_ii C_jj + C_ij^2) / N),
+    computed at the power-of-two scale of C (``_unit_scaled``).
     """
-    C = np.asarray(C, dtype=float)
+    C, e = _unit_scaled(np.asarray(C, dtype=float))
     d = np.diag(C)
-    return np.sqrt((np.outer(d, d) + C**2) / n_draws)
+    return np.ldexp(np.sqrt((np.outer(d, d) + C**2) / n_draws), e)
 
 
 def truncation_error(dec: MercerDecomposition, m: int) -> float:

@@ -162,9 +162,8 @@ def _order_degenerate_clusters(lam: np.ndarray, V: np.ndarray):
     for end in range(1, lam.size + 1):
         if end == lam.size or lam[start] - lam[end] > tol:
             if end - start > 1:
-                block = order[start:end]
-                block = sorted(block, key=lambda j: tuple(V[:, j]), reverse=True)
-                order[start:end] = block
+                block = order[start:end]   # np.lexsort sorts on its last key first
+                order[start:end] = block[np.lexsort(V[::-1, block])[::-1]]
             start = end
     return lam[order], V[:, order]
 

@@ -119,7 +119,8 @@ def _sampling_checks(C, dec, factor, canonical, seed: int, n_draws: int,
                 gram = tail.T @ (tail * dec.space.weights[:, None])
                 mean_sq = float(np.sum(gram * G[m:, m:])) / n_draws
                 target = field.truncation_error(dec, m)
-                tail_se = np.sqrt(2.0 * np.sum(dec.eigenvalues[m:] ** 2) / n_draws)
+                tail, e = field._unit_scaled(dec.eigenvalues[m:])
+                tail_se = np.ldexp(np.sqrt(2.0 * np.sum(tail**2) / n_draws), e)
                 worst = max(worst, abs(mean_sq - target) / max(tail_se, 1e-300))
             checks.append(check("truncation_band", worst, band_se,
                                 "empirical L2 truncation error in standard errors"))

@@ -7,6 +7,7 @@ import stat
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -785,6 +786,22 @@ def test_cli_branch_exit_codes(tmp_path, capsys, command, extra, flags, files, c
         assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
 
 
+def test_verify_sampling_bands_at_extreme_variances(tmp_path, capsys):
+    bands = []
+    for sigma2 in (1.0, 1e200, 1e-200):
+        out = tmp_path / f"out{sigma2}"
+        extra = {"kernel": {"name": "white_diagonal", "params": {"sigma2": sigma2}},
+                 "seed": 3, "verify": {"n_draws": 1000}}
+        assert main(["verify", "--config", bm_config(tmp_path, n=6, extra=extra),
+                     "--out", str(out)]) == 0
+        checks = json.loads((out / "verification.json").read_text())["checks"]
+        bands.append([c["error"] for c in checks if c["name"].endswith("_band")])
+    assert capsys.readouterr().err == ""
+    assert len(bands[0]) == 2
+    for band in bands[1:]:   # the standard errors' squares would overflow, or underflow
+        assert band == pytest.approx(bands[0], rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("command", ["factorize", "sample", "integrate"])
 def test_huge_white_noise_factors_samples_and_integrates(tmp_path, capsys, command):
     extra = {**HUGE_WHITE_NOISE, "sample": {"n_draws": 10},
@@ -918,8 +935,60 @@ def test_pieces_write_the_bytes_of_one_process(tmp_path, capsys, monkeypatch, cp
 
     monkeypatch.setattr(os, "fork", fork)
     assert _every_output(tmp_path, capsys) == expected
-    # factorize, and sample in both formats, fork cpus - 1 children each
-    assert len(forks) == 3 * (cpus - 1)
+    # factorize, and sample in both formats, fork cpus - 1 workers each; a
+    # failed fork sends every piece of its command to this process
+    assert len(forks) == 3 * (1 if fork_fails else cpus - 1)
+
+
+@pytest.mark.parametrize("failure", ["pool", "second-fork"])
+def test_pool_that_cannot_start_formats_every_piece_here(tmp_path, capsys, monkeypatch, failure):
+    expected = _every_output(tmp_path, capsys)
+    forked(monkeypatch, 3)
+    forks = []
+
+    def pool(*args, **kwargs):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    def fork(real=os.fork):   # the first worker of each pool is forked, the second is not
+        forks.append(1)
+        if len(forks) % 2 == 0:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    if failure == "pool":
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    # no child left, and nothing in the output directory but the outputs
+    assert _every_output(tmp_path, capsys) == expected
+    assert len(forks) == (0 if failure == "pool" else 3 * 2)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_forked_publish_keeps_no_reference_to_its_outputs(tmp_path, monkeypatch, fails):
+    forked(monkeypatch, 2)
+    parent, write = os.getpid(), _numtext.write
+
+    def failing_write(*args, **kwargs):
+        if fails and os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(*args, **kwargs)
+
+    monkeypatch.setattr(_numtext, "write", failing_write)
+    array = np.arange(40.0).reshape(8, 5)
+    array_ref = weakref.ref(array)
+    outputs = [cli._dense_csv(tmp_path / "a.csv", "a,b,c,d,e", array)]   # two pieces
+    del array
+    try:
+        cli._publish(outputs)
+    except cli.UsageError:
+        assert fails
+    else:
+        assert not fails
+    no_children_left()
+    assert [p.name for p in tmp_path.iterdir()] == ([] if fails else ["a.csv"])
+    del outputs
+    assert array_ref() is None
 
 
 @pytest.mark.parametrize("command,target,extra,cpus", [
@@ -960,7 +1029,7 @@ def test_child_piece_that_ends_without_a_report_exits_2(tmp_path, capsys, monkey
     assert main(["factorize", "--config", bm_config(tmp_path, n=8), "--out", str(out)]) == 2
     no_children_left()
     assert capsys.readouterr().err == (f"error: cannot write {out / 'factor.csv'}: "
-                                       "formatting process ended with status 3\n")
+                                       "formatting process ended without a report\n")
     assert list(out.iterdir()) == []
 
 

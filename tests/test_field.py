@@ -94,6 +94,27 @@ def test_empirical_covariance_band_brownian():
     assert np.max(np.abs(emp - C) / se) < 5.0
 
 
+def test_covariance_standard_error_scales_exactly():
+    C = assemble(builtin_kernel("fbm", {"hurst": 0.7}), interval_grid(32))
+    se = covariance_standard_error(C, 1000)
+    d = np.diag(C)
+    assert np.array_equal(se, np.sqrt((np.outer(d, d) + C**2) / 1000))   # in range: same bits
+    for k in (600, -600):   # squares of 2^k C overflow, or underflow
+        assert np.array_equal(covariance_standard_error(2.0**k * C, 1000), 2.0**k * se)
+
+
+def test_empirical_covariance_band_at_extreme_variances():
+    bands = []
+    for sigma2 in (1.0, 1e200, 1e-200):
+        kernel = builtin_kernel("white_diagonal", {"sigma2": sigma2})
+        sp = interval_grid(6)
+        C = assemble(kernel, sp)
+        emp = empirical_covariance(sample(build_field(kernel, sp), 1000, seed=3))
+        bands.append(np.max(np.abs(emp - C) / covariance_standard_error(C, 1000)))
+    assert bands[0] == pytest.approx(2.6385, abs=1e-4)
+    assert bands[1:] == pytest.approx([bands[0]] * 2, rel=1e-9, abs=0.0)
+
+
 def test_empirical_covariance_rank_one_truncation():
     n_draws = 40_000
     sp = interval_grid(16)

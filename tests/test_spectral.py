@@ -10,7 +10,13 @@ from wnfield.errors import (
     NotPositiveSemidefiniteError,
     NumericError,
 )
-from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel, trace_of_operator
+from wnfield.kernels import (
+    CovarianceKernel,
+    assemble,
+    builtin_kernel,
+    matrix_kernel,
+    trace_of_operator,
+)
 from wnfield import spectral
 from wnfield.spaces import DiscreteMeasureSpace, interval_grid
 from wnfield.spectral import (
@@ -388,6 +394,41 @@ def test_degenerate_cluster_order_is_stable():
     # indicator eigenfunctions, deterministically ordered by point index
     expected = np.eye(8) * np.sqrt(8.0)
     assert np.allclose(dec.eigenfunctions, expected, atol=1e-12)
+
+
+def _clusters_by_sorted_column_tuples(lam, V):
+    """The cluster order as Python's sort of column tuples gives it."""
+    tol = spectral.DEGENERACY_TOL * max(lam[0], 1e-300)
+    order, start = list(range(lam.size)), 0
+    for end in range(1, lam.size + 1):
+        if end == lam.size or lam[start] - lam[end] > tol:
+            order[start:end] = sorted(order[start:end], key=lambda j: tuple(V[:, j]), reverse=True)
+            start = end
+    return lam[order], V[:, order]
+
+
+def _one_repeated_eigenvalue():
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+    C = (Q * [3.0, 2.0, 2.0, 1.0, 0.5, 0.25]) @ Q.T
+    return assemble(matrix_kernel((C + C.T) / 2), interval_grid(6)), interval_grid(6)
+
+
+@pytest.mark.parametrize("case", [lambda: _kernel_case("white_diagonal", {"sigma2": 1.0}, 64),
+                                  _one_repeated_eigenvalue], ids=["white-64", "one-repeated"])
+def test_degenerate_clusters_keep_the_order_of_sorted_column_tuples(monkeypatch, case):
+    calls, order = [], spectral._order_degenerate_clusters
+
+    def recorded(lam, V):
+        calls.append((lam, V))
+        return order(lam, V)
+
+    monkeypatch.setattr(spectral, "_order_degenerate_clusters", recorded)
+    dec = decompose(*case())
+    (lam, V), = calls
+    assert np.min(-np.diff(lam)) <= spectral.DEGENERACY_TOL * lam[0]   # a cluster to order
+    expected_lam, expected_V = _clusters_by_sorted_column_tuples(lam, V)
+    assert np.array_equal(dec.eigenvalues, expected_lam)
+    assert np.array_equal(dec.eigenfunctions, expected_V / np.sqrt(dec.space.weights)[:, None])
 
 
 def test_decompose_shape_mismatch():
