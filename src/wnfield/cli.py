@@ -24,15 +24,13 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
+import reprlib
 import secrets
 import shutil
 import sys
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +78,8 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "properties": {
                         "type": {"const": "custom"},
-                        "points": {"type": "array", "minItems": 1},
+                        "points": {"type": "array", "minItems": 1,   # scalars or vectors
+                                   "items": {"type": ["number", "array"], "items": {"type": "number"}}},
                         "weights": {
                             "type": "array",
                             "minItems": 1,
@@ -201,11 +200,14 @@ def _read_json(path, what: str):
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-#: draft 2020-12 counts 3.0 as an integer; counts, sizes and seeds must be ints
+#: draft 2020-12 counts 3.0 as an integer and 10^400 as a number; counts,
+#: sizes and seeds must be ints, and no number may overflow a float, as an
+#: int does from 2^1024 - 2^970 up (a bool is neither)
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "number": lambda _, value: type(value) in (int, float) and abs(value) < 2**1024 - 2**970,
+        "integer": lambda _, value: type(value) is int and abs(value) < 2**1024 - 2**970}),
 )
 
 
@@ -219,10 +221,12 @@ def _validator(what: str):
 
 
 def _validate(document, what: str):
-    """Raise the error ``jsonschema.validate`` would, as a ``UsageError``."""
+    """Raise the error ``jsonschema.validate`` would, as a ``UsageError``,
+    with the value clipped by ``reprlib`` (an integer to 40 characters)."""
     error = jsonschema.exceptions.best_match(_validator(what).iter_errors(document))
     if error is not None:
-        raise UsageError(f"{what} schema violation at {error.json_path}: {error.message}")
+        message = error.message.replace(repr(error.instance), reprlib.repr(error.instance))
+        raise UsageError(f"{what} schema violation at {error.json_path}: {message}")
 
 
 def load_config(path: str, args) -> dict:
@@ -399,20 +403,10 @@ def _write_rows(path: Path, file: Path, write, r0: int, r1: int):
     created with mode 0666 less the umask, as ``open`` would create
     ``path``, and a rename keeps that mode."""
     try:
-        fd = os.open(file, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with os.fdopen(fd, "w") as fh:
+        with open(file, "x") as fh:
             write(fh, r0, r1)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-#: the piece formatter of the ``_publish`` call under way; its pool's
-#: workers inherit it at the fork, as a ``write`` closure cannot be pickled
-_format_piece = None
-
-
-def _format_inherited(piece):
-    _format_piece(piece)
 
 
 def _publish(outputs: list[_Output]):
@@ -421,14 +415,13 @@ def _publish(outputs: list[_Output]):
 
     The rows are cut into pieces (``_pieces``), one per CPU this process
     may use, but none of fewer than ``_PIECE_VALUES`` numbers. Piece 0 is
-    formatted here while each other piece goes to a worker of a forked
-    process pool; a run of rows from row 0 goes into the output's temp
-    file, a later run into a part file that is appended to the temp file
-    in order. Where the pool cannot be built or cannot fork, every piece
-    is formatted here. The error of the first failed piece is raised, once
-    every worker has finished, and no temp or part file is left.
+    formatted here and each other piece in a forked child that reports
+    only its exit status; a run of rows from row 0 goes into the output's
+    temp file, a later run into a part file appended to it in order. A
+    piece not forked, or whose child failed, is formatted again here, so
+    the first failed piece raises its error here. Every child is waited
+    for on every exit path, and no temp or part file is left.
     """
-    global _format_piece
     count = max(1, min(_cpu_count(), sum(o.rows * o.width for o in outputs) // _PIECE_VALUES))
     pieces = _pieces(outputs, count)
     token = secrets.token_hex(8)
@@ -437,35 +430,39 @@ def _publish(outputs: list[_Output]):
         path = outputs[i].path
         return path.with_name(f"{path.name}.{token}" + (f".{r0}" if r0 else ""))
 
+    def remove(runs):
+        for i, r0, _ in runs:
+            if os.path.exists(file(i, r0)):
+                os.unlink(file(i, r0))
+
     def format_piece(piece):
         for i, r0, r1 in piece:
             _write_rows(outputs[i].path, file(i, r0), outputs[i].write, r0, r1)
 
-    runs = [(i, r0) for piece in pieces for i, r0, _ in piece]
-    _format_piece, pool, futures = format_piece, None, []
+    runs = [run for piece in pieces for run in piece]
+    pids = {}
     try:
-        if len(pieces) > 1:
-            try:   # the first submit forks every worker
-                pool = ProcessPoolExecutor(len(pieces) - 1, multiprocessing.get_context("fork"))
-                futures = [pool.submit(_format_inherited, piece) for piece in pieces[1:]]
-            except (OSError, NotImplementedError):   # no pool, or not every worker forked
-                # workers forked before a fork failed wait for calls that never
-                # come, and this process's exit would wait for them
-                for worker in getattr(pool, "_processes", {}).values():
-                    worker.terminate()
-                    worker.join()
-                pool = None
-        for piece in pieces[:len(pieces) - len(futures)]:   # piece 0, or all with no pool
-            format_piece(piece)
-        for future, piece in zip(futures, pieces[1:]):
+        for k, piece in enumerate(pieces[1:], 1):
             try:
-                future.result()
-            except BrokenProcessPool:
-                raise UsageError(f"cannot write {outputs[piece[0][0]].path}: formatting "
-                                 "process ended without a report") from None
+                pids[k] = os.fork()
+            except OSError:   # formatted here below
+                continue
+            if not pids[k]:   # the child never returns: no exit handler, no inherited buffer
+                try:
+                    format_piece(piece)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+        format_piece(pieces[0])
+        for k, piece in enumerate(pieces[1:], 1):
+            status = os.waitpid(pids[k], 0)[1] if k in pids else 1
+            pids.pop(k, None)
+            if status:   # not forked, or the child failed or was killed
+                remove(piece)
+                format_piece(piece)
         try:
             for i, o in enumerate(outputs):   # each part onto its temp file, in order
-                for part in [file(j, r0) for j, r0 in runs if j == i and r0]:
+                for part in [file(j, r0) for j, r0, _ in runs if j == i and r0]:
                     with open(file(i, 0), "ab") as fh, open(part, "rb") as src:
                         shutil.copyfileobj(src, fh)
                     os.unlink(part)
@@ -474,12 +471,9 @@ def _publish(outputs: list[_Output]):
         except OSError as exc:
             raise UsageError(f"cannot write {o.path}: {exc.strerror}") from exc
     finally:
-        if pool is not None:
-            pool.shutdown()   # waits for every worker to finish its pieces
-        _format_piece = futures = future = None   # a future's error holds this frame
-        for i, r0 in runs:
-            if os.path.exists(file(i, r0)):   # not renamed or appended: an error
-                os.unlink(file(i, r0))
+        for pid in pids.values():   # left only on an error
+            os.waitpid(pid, 0)
+        remove(runs)   # not renamed or appended: an error
 
 
 def _write_json(path: Path, payload):
@@ -665,7 +659,10 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
 
     if components is None:
         variance = element.norm_squared()
-        draws = np.empty(n_draws)
+        try:
+            draws = np.empty(n_draws)
+        except ValueError as exc:   # more than an array can index
+            raise UsageError(f"integrate.n_draws {reprlib.repr(n_draws)}: {exc}") from exc
         for r0, xi in field.noise_blocks(n_draws, element.coeffs.size, seed):
             draws[r0:r0 + len(xi)] = integrals.wiener_integral(element, xi)
             del xi   # before the next block is drawn

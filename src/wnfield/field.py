@@ -12,6 +12,7 @@ batch never needs more than one block of noise.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,12 +347,11 @@ def tangent_gram(
     n = field.space.size
     if not 0 <= t_index < n:
         raise IndexError(f"base index {t_index} out of range for size {n}")
-    offsets = np.asarray(offsets, dtype=int)
-    shifted = t_index + offsets
-    if np.any(shifted < 0) or np.any(shifted >= n):
-        raise IndexError(
-            f"shifted indices {shifted.tolist()} fall outside [0, {n})"
-        )
+    shifted = [int(t_index) + int(o) for o in offsets]   # Python ints: no overflow
+    if not all(0 <= s < n for s in shifted):
+        raise IndexError(f"offsets move base index {t_index} to {reprlib.repr(shifted)}, "
+                         f"outside [0, {n})")
+    shifted = np.array(shifted, dtype=int)
     F = field.factor.factor
     with overflow_raises("tangent Gram matrix"):
         D = (F[shifted, :] - F[t_index, :]) / r

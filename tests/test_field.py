@@ -357,6 +357,11 @@ def test_orthonormality_check_keeps_the_bits_of_its_whole_array_expression(n):
     assert [c["error"] for c in checks if c["name"] == "eigenfunction_orthonormality"] == [expected]
 
 
+def test_verify_check_rejects_a_non_finite_error():
+    with pytest.raises(NumericError, match=r"^check x: error is nan$"):
+        verify.check("x", float("nan"), 1.0)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("gauge", ["symmetric_sqrt", "triangular", "rotated"])
 def test_verify_band_is_the_library_moment(gauge, seed):

@@ -311,6 +311,10 @@ KERNEL_BRANCHES = [
                  id="evaluator-shape"),
     pytest.param(lambda: trace_of_operator(np.eye(3), interval_grid(4)), DimensionMismatchError,
                  "matrix shape (3, 3) does not match space size 4", id="trace-space-mismatch"),
+    # an empty matrix passes the symmetry check, and then meets no space
+    pytest.param(lambda: assemble(matrix_kernel(np.zeros((0, 0))), interval_grid(2)),
+                 DimensionMismatchError, "matrix kernel is 0x0 but space has 2 points",
+                 id="empty-matrix-kernel"),
 ]
 
 
