@@ -538,8 +538,10 @@ def cmd_sample(config: dict, out_dir: Path, base_dir: Path) -> int:
     seed = config["seed"]
     try:
         batch = field.sample(fld, n_draws, m=config.get("truncate"), seed=seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except InvalidParameterError:   # the truncation: reported as it is
+        raise
+    except (ValueError, MemoryError) as exc:   # more draws than an array can hold
+        raise UsageError(f"sample.n_draws {reprlib.repr(n_draws)}: {exc}") from exc
     fmt = options.get("format", "dense")
     path, draws = out_dir / "samples.csv", batch.draws
     if fmt == "dense":
@@ -649,19 +651,18 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
                 f"integrand has {len(polys)} components but the decomposition "
                 f"rank is {dec.rank}"
             )
-        polys += [chaos.ChaosPolynomial.zero() for _ in range(dec.rank - len(polys))]
         components = integrals.RandomIntegrand(tuple(polys))
-        if all(p.degree() <= 0 for p in components.components):
-            element = spectral.RkhsElement(
-                np.array([p.coefficient(()) for p in components.components])
-            )
-            components = None
+        if all(p.degree() <= 0 for p in polys):
+            # noise is drawn at the rank's stride: pad with zero coefficients
+            coeffs = np.zeros(dec.rank)
+            coeffs[:len(polys)] = [p.coefficient(()) for p in polys]
+            element, components = spectral.RkhsElement(coeffs), None
 
     if components is None:
         variance = element.norm_squared()
         try:
             draws = np.empty(n_draws)
-        except ValueError as exc:   # more than an array can index
+        except (ValueError, MemoryError) as exc:   # more than an array can hold
             raise UsageError(f"integrate.n_draws {reprlib.repr(n_draws)}: {exc}") from exc
         for r0, xi in field.noise_blocks(n_draws, element.coeffs.size, seed):
             draws[r0:r0 + len(xi)] = integrals.wiener_integral(element, xi)

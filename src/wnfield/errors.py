@@ -14,7 +14,7 @@ class UnknownKernelError(ValueError):
 
 
 class InvalidParameterError(ValueError):
-    """Kernel parameter outside its declared range."""
+    """A kernel parameter, ``drop_tol`` or a series truncation out of its range."""
 
 
 class NumericError(RuntimeError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatchError, InsufficientSamplesError, overflow_raises
+from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError, overflow_raises
 from .kernels import CovarianceKernel, _upper_tiles, assemble
 from .spaces import DiscreteMeasureSpace
 from .spectral import (
@@ -195,7 +195,7 @@ def sample(
     if m is None:
         m = rank
     if not 0 <= m <= rank:
-        raise ValueError(f"truncation m={m} out of range [0, {rank}]")
+        raise InvalidParameterError(f"truncation m={m} out of range [0, {rank}]")
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if m == 0:   # rank 0 included
@@ -291,7 +291,7 @@ def covariance_standard_error(C: np.ndarray, n_draws: int) -> np.ndarray:
 def truncation_error(dec: MercerDecomposition, m: int) -> float:
     """Exact L2 truncation error of the eigen-series: sum_{k>m} lambda_k."""
     if not 0 <= m <= dec.rank:
-        raise ValueError(f"truncation m={m} out of range [0, {dec.rank}]")
+        raise InvalidParameterError(f"truncation m={m} out of range [0, {dec.rank}]")
     return float(dec.eigenvalues[m:].sum())
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wnfield import _numtext, cli, field, spectral, verify
+from wnfield import _numtext, chaos, cli, field, integrals, spectral, verify
 from wnfield.cli import main
 from wnfield.errors import NumericError
 from wnfield.kernels import assemble, builtin_kernel
@@ -466,6 +466,46 @@ def test_integrate_histogram_reads_noise_blocks(tmp_path, monkeypatch):
     assert histogram["quantiles"]["0.05"] == float(np.quantile(xi, 0.05))
 
 
+@pytest.mark.parametrize("texts", [["x1*x2", "2*x3"], ["x2", "-x1", "x1*x2"]],
+                         ids=["products", "cancelling"])
+def test_integrate_divides_the_parsed_components_only(tmp_path, monkeypatch, texts):
+    # no zero components pad the integrand to the rank: the divergence, its
+    # mean and its variance are still those of the zero-padded integrand
+    n, seen = 16, []
+    skorokhod = integrals.skorokhod_integral
+    monkeypatch.setattr(integrals, "skorokhod_integral", lambda u: seen.append(u) or skorokhod(u))
+    cfg = bm_config(tmp_path, n=n, extra={"integrate": {"integrand": {"components": texts}}})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    parsed = tuple(chaos.parse_polynomial(t, num_vars=n) for t in texts)
+    assert [u.components for u in seen] == [parsed]
+    zeros = (chaos.ChaosPolynomial.zero(),) * (n - len(texts))
+    delta = skorokhod(integrals.RandomIntegrand(parsed + zeros))
+    mean = chaos.expectation(delta)
+    assert json.loads((tmp_path / "integral.json").read_text()) == {
+        "kind": "random", "polynomial": chaos.format_polynomial(delta), "mean": mean,
+        "variance": chaos.expectation(delta * delta) - mean * mean}
+
+
+def test_integrate_constant_components_are_padded_to_the_rank(tmp_path):
+    # the noise is read at the rank's stride: the histogram is that of the
+    # same coefficients padded with zeros to the rank
+    n, n_draws = 256, 2000
+    cfg = bm_config(tmp_path, n=n, extra={"integrate": {
+        "n_draws": n_draws, "integrand": {"components": ["1", "-2.5", "0"]}}})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    sp = interval_grid(n)
+    rank = spectral.decompose(assemble(builtin_kernel("brownian_motion"), sp), sp).rank
+    assert rank >= 256
+    coeffs = np.zeros(rank)
+    coeffs[:3] = [1.0, -2.5, 0.0]
+    draws = field.noise_matrix(n_draws, rank, seed=7) @ coeffs
+    result = json.loads((tmp_path / "integral.json").read_text())
+    assert result["rkhs_norm_squared"] == 7.25
+    assert result["histogram"] == {
+        "n_draws": n_draws, "seed": 7, "mean": float(draws.mean()), "variance": float(draws.var()),
+        "quantiles": {str(q): float(np.quantile(draws, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)}}
+
+
 def test_integrate_builds_no_factor(tmp_path, monkeypatch):
     # the integral depends on the decomposition only, not on the gauge
     sp = interval_grid(16)
@@ -806,6 +846,9 @@ CLI_BRANCHES = [
                                              "integrand": {"field_values": [1] * 8}}}, [], {}, 2,
                  f"error: integrate.n_draws {10**30}: Maximum allowed dimension exceeded\n",
                  id="integrate-n-draws-huge"),
+    pytest.param("sample", {"sample": {"n_draws": 10**30}}, [], {}, 2,
+                 f"error: sample.n_draws {10**30}: Maximum allowed dimension exceeded\n",
+                 id="sample-n-draws-huge"),
 ]
 
 
@@ -822,6 +865,29 @@ def test_cli_branch_exit_codes(tmp_path, capsys, command, extra, flags, files, c
         assert json.loads((out / "samples_meta.json").read_text())["truncation"] == expected
     else:
         assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sample", {"sample": {"n_draws": 10**11}}),
+    ("integrate", {"integrate": {"n_draws": 10**11, "integrand": {"field_values": [1] * 8}}}),
+], ids=["sample", "integrate"])
+def test_n_draws_past_memory_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, command, extra):
+    # the draws' allocation is refused as numpy refuses it, so no memory is asked for
+    empty = np.empty
+
+    def refusing_empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) >= 10**11:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing_empty)
+    out = tmp_path / "out"
+    assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
+                 "--out", str(out)]) == 2
+    shape = (10**11, 8) if command == "sample" else 10**11
+    assert capsys.readouterr().err == (f"error: {command}.n_draws {10**11}: "
+                                       f"Unable to allocate an array with shape {shape}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_verify_sampling_bands_at_extreme_variances(tmp_path, capsys):

@@ -27,7 +27,7 @@ from wnfield.field import (
 )
 from wnfield.kernels import CovarianceKernel, assemble, builtin_kernel, matrix_kernel
 from wnfield.spaces import DiscreteMeasureSpace, interval_grid
-from wnfield.spectral import WhiteNoiseKernel, decompose, factorize, reproduce_covariance
+from wnfield.spectral import GAUGES, WhiteNoiseKernel, decompose, factorize, reproduce_covariance
 
 ZERO_KERNEL = CovarianceKernel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape))
 CONSTANT_KERNEL = CovarianceKernel("constant", lambda s, t: np.full(np.broadcast(s, t).shape, 0.7))
@@ -404,6 +404,40 @@ def test_verify_truncation_band_is_that_of_sampled_draws(name, params, n, gauge)
                             reproducing_functions=1, duality_pairs=1)
     [band] = [c["error"] for c in checks if c["name"] == "truncation_band"]
     assert worst > 0.0 and band == pytest.approx(worst, rel=1e-9)
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["gauges", "external-factor"])
+@pytest.mark.parametrize("name,params,n,drop_tol", [
+    ("fbm", {"hurst": 0.3}, 64, 1e-12),
+    ("brownian_motion", {}, 16, 1e300),   # rank 0
+    ("white_diagonal", {"sigma2": 1.0}, 8, 1e-12),
+    ("white_diagonal", {"sigma2": 1.0}, 64, 1e-12),
+    ("brownian_bridge", {}, 33, 1e-12),
+], ids=["fbm-rough", "bm-rank-0", "white-8", "white-64", "bridge"])
+def test_gauge_invariance_is_the_largest_pairwise_spread(name, params, n, drop_tol, external):
+    # oracle: every pair of reproduced covariances differenced, bit for bit
+    space = interval_grid(n)
+    C = assemble(builtin_kernel(name, params), space)
+    dec = decompose(C, space, drop_tol=drop_tol)
+    factors = [factorize(dec, gauge) for gauge in GAUGES]
+    if external:   # replaces the canonical factor, as verify.factor_file does
+        factors[0] = WhiteNoiseKernel(factorize(dec, "rotated", seed=5).factor, "file")
+    R = [reproduce_covariance(h, space) for h in factors]
+    oracle = max(float(np.max(np.abs(a - b))) for i, a in enumerate(R) for b in R[i + 1:])
+    checks = verify.battery(C, dec, n_draws=50, reproducing_functions=1, duality_pairs=1,
+                            external_factor=factors[0] if external else None)
+    [spread] = [c["error"] for c in checks if c["name"] == "gauge_invariance"]
+    assert spread.hex() == oracle.hex()
+
+
+@pytest.mark.xfail(strict=True, reason="a false alarm of the 5-SE empirical covariance band "
+                   "(5.65 SE here); ROADMAP Direction 1 gates on the noise coordinates instead")
+def test_verify_passes_on_a_correct_rough_field():
+    # fBm at full rank: the rough_fullrank benchmark workload's seed 10, round 3 verify
+    space = interval_grid(1024)
+    C = assemble(builtin_kernel("fbm", {"hurst": 0.6996810287015152}), space)
+    checks = verify.battery(C, decompose(C, space), seed=1640924251)
+    assert [c["name"] for c in checks if not c["pass"]] == []
 
 
 def test_full_rank_and_hand_built_batches_use_the_draws(monkeypatch):
