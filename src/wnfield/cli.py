@@ -111,7 +111,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_draws": {"type": "integer", "minimum": 1},
+                "n_draws": {"type": "integer", "minimum": 1, "maximum": 2**63 - 1},   # numpy's row limit
                 "format": {"enum": ["dense", "long"]},
             },
         },
@@ -120,7 +120,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "duality_pairs": {"type": "integer", "minimum": 1},
-                "n_draws": {"type": "integer", "minimum": 2},
+                "n_draws": {"type": "integer", "minimum": 2, "maximum": 2**63 - 1},
                 "band_se": {"type": "number", "exclusiveMinimum": 0},
                 "reproducing_functions": {"type": "integer", "minimum": 1},
                 "factor_file": {"type": "string"},
@@ -137,7 +137,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "integrand": {"type": "object"},
-                "n_draws": {"type": "integer", "minimum": 2},
+                "n_draws": {"type": "integer", "minimum": 2, "maximum": 2**63 - 1},
             },
         },
         "tangent": {
@@ -636,11 +636,10 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
                 f"integrand is not in the field's reproducing-kernel space: "
                 f"relative residual {exc.residual:.3e}"
             ) from exc
-        components = None
+        polys = []
     else:
-        texts = spec["components"]
         try:
-            polys = [chaos.parse_polynomial(t, num_vars=dec.rank) for t in texts]
+            polys = [chaos.parse_polynomial(t, num_vars=dec.rank) for t in spec["components"]]
         except DimensionMismatchError as exc:   # a ValueError too
             raise DataError(f"integrand polynomial has more variables than the "
                             f"decomposition rank {dec.rank}: {exc}") from exc
@@ -651,14 +650,25 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
                 f"integrand has {len(polys)} components but the decomposition "
                 f"rank is {dec.rank}"
             )
-        components = integrals.RandomIntegrand(tuple(polys))
-        if all(p.degree() <= 0 for p in polys):
-            # noise is drawn at the rank's stride: pad with zero coefficients
-            coeffs = np.zeros(dec.rank)
-            coeffs[:len(polys)] = [p.coefficient(()) for p in polys]
-            element, components = spectral.RkhsElement(coeffs), None
+        # the constant terms; noise is drawn at the rank's stride: pad with zeros
+        coeffs = np.zeros(dec.rank)
+        coeffs[:len(polys)] = [p.coefficient(()) for p in polys]
+        element = spectral.RkhsElement(coeffs)
 
-    if components is None:
+    if any(p.degree() > 0 for p in polys):
+        delta = integrals.skorokhod_integral(integrals.RandomIntegrand(tuple(polys)))
+        mean = chaos.expectation(delta)
+        variance = chaos.expectation(delta * delta) - mean * mean   # ** raises on overflow
+        result = {
+            "kind": "random",
+            "polynomial": chaos.format_polynomial(delta),
+            "mean": mean,
+            "variance": variance,
+        }
+        print(f"divergence polynomial: {chaos.format_polynomial(delta)}")
+        print(f"mean: {mean:.12g}")
+        print(f"variance: {variance:.12g}")
+    else:
         variance = element.norm_squared()
         try:
             draws = np.empty(n_draws)
@@ -683,19 +693,6 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
         }
         print(f"deterministic integrand: variance (squared RKHS norm) = {variance:.12g}")
         print(f"sampled {n_draws} draws: mean {draws.mean():.4g}, var {draws.var():.6g}")
-    else:
-        delta = integrals.skorokhod_integral(components)
-        mean = chaos.expectation(delta)
-        variance = chaos.expectation(delta * delta) - mean * mean   # ** raises on overflow
-        result = {
-            "kind": "random",
-            "polynomial": chaos.format_polynomial(delta),
-            "mean": mean,
-            "variance": variance,
-        }
-        print(f"divergence polynomial: {chaos.format_polynomial(delta)}")
-        print(f"mean: {mean:.12g}")
-        print(f"variance: {variance:.12g}")
     _write_json(out_dir / "integral.json", result)
     print(f"wrote {out_dir / 'integral.json'}")
     return EXIT_OK

@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError, overflow_raises
 from .kernels import CovarianceKernel, _upper_tiles, assemble
-from .spaces import DiscreteMeasureSpace
+from .spaces import DiscreteMeasureSpace, _unit_scaled
 from .spectral import (
     MercerDecomposition,
     WhiteNoiseKernel,
@@ -198,10 +198,6 @@ def sample(
         raise InvalidParameterError(f"truncation m={m} out of range [0, {rank}]")
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    if m == 0:   # rank 0 included
-        draws = np.zeros((n_draws, field.space.size))
-        draws.setflags(write=False)
-        return SampleBatch(draws=draws, seed=seed, truncation=m)
     draws = np.empty((n_draws, field.space.size))
     F = field.factor.factor[:, :m]
     F.setflags(write=False)   # this view only; the field's factor keeps its flags
@@ -267,13 +263,6 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
         return E
     G = noise_gram(n_draws, F.shape[1], batch.seed, stride=batch.stride)
     return _noise_moment(F, G, n_draws)
-
-
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x / 2^e, e), 2^e the power of two just above max |x_i| (e = 0 if x is
-    zero or not finite): an exact scaling whose squares cannot overflow."""
-    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
-    return np.ldexp(x, -e), e
 
 
 def covariance_standard_error(C: np.ndarray, n_draws: int) -> np.ndarray:

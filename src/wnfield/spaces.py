@@ -17,6 +17,14 @@ from .errors import DimensionMismatchError
 __all__ = ["DiscreteMeasureSpace", "interval_grid"]
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e), 2^e the power of two just above max |x_i| (e = 0 if x is
+    zero or not finite): an exact scaling whose largest square lies in
+    [1/4, 1), so a sum of squares neither overflows nor underflows to 0."""
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
 @dataclass(frozen=True)
 class DiscreteMeasureSpace:
     """Finite point set with strictly positive quadrature weights.
@@ -74,15 +82,13 @@ class DiscreteMeasureSpace:
         return float(np.dot(f * self.weights, g))
 
     def norm(self, f) -> float:
-        """Weighted L2 norm sqrt(inner(f, f)); where the squares overflow, a
-        finite f is first divided by max |f_i|."""
-        f = self._check_length(f, "f")
-        with np.errstate(over="ignore"):
+        """Weighted L2 norm sqrt(inner(f, f)), formed at the power-of-two
+        scale of f (``_unit_scaled``), so its squares neither overflow nor
+        underflow."""
+        f, e = _unit_scaled(self._check_length(f, "f"))
+        with np.errstate(over="ignore"):   # only a non-finite f is left unscaled
             squares = np.dot(f * f, self.weights)
-        if squares == np.inf and np.all(np.isfinite(f)):
-            top = np.max(np.abs(f))
-            return float(top * np.sqrt(np.dot((f / top) ** 2, self.weights)))
-        return float(np.sqrt(squares))
+        return float(np.ldexp(np.sqrt(squares), e))
 
 
 def interval_grid(n: int) -> DiscreteMeasureSpace:

@@ -433,8 +433,6 @@ def factorize(dec: MercerDecomposition, gauge: str = "symmetric_sqrt", seed: int
         return WhiteNoiseKernel(factor=A, gauge=gauge)
     if gauge == "triangular":
         n, m = A.shape
-        if m == 0:
-            return WhiteNoiseKernel(factor=A, gauge=gauge)
         V = dec.whitened_vectors()
         Z = V * sqrt_lam[None, :]
         # LQ of Z: Z = L Q_l with L lower trapezoidal, Q_l orthogonal; only

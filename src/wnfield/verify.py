@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import chaos, field, integrals, kernels, spectral
+from . import chaos, field, integrals, kernels, spaces, spectral
 from .errors import NumericError, overflow_raises
 
 __all__ = ["DEFAULT_TOLERANCES", "check", "battery"]
@@ -116,7 +116,7 @@ def _sampling_checks(C, dec, factor, seed: int, n_draws: int, band_se: float) ->
             for m in {1, dec.rank // 2}:
                 mean_sq = float(np.sum(dec.eigenvalues[m:] * np.diag(G)[m:])) / n_draws
                 target = field.truncation_error(dec, m)
-                tail, e = field._unit_scaled(dec.eigenvalues[m:])
+                tail, e = spaces._unit_scaled(dec.eigenvalues[m:])
                 tail_se = np.ldexp(np.sqrt(2.0 * np.sum(tail**2) / n_draws), e)
                 worst = max(worst, abs(mean_sq - target) / max(tail_se, 1e-300))
             checks.append(check("truncation_band", worst, band_se,

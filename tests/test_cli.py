@@ -565,6 +565,50 @@ def test_integrate_out_of_rkhs_exits_1(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-170, 1e-300])
+def test_integrate_rejects_an_out_of_span_vector_at_every_scale(tmp_path, capsys, scale):
+    # a tiny integrand is tested like any other: its norm does not underflow to 0
+    cfg = write_config(tmp_path / "se.json", {
+        "space": {"type": "interval_grid", "n": 16},
+        "kernel": {"name": "squared_exponential", "params": {"length_scale": 0.3}},
+        "integrate": {"integrand": {"field_values": [scale] + [0.0] * 15}},
+    })
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: integrand is not in the field's reproducing-kernel "
+                                       "space: relative residual 4.201e-03\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("name,params,rank,tol", [
+    ("fbm", {"hurst": 0.7}, 64, 1e-12),
+    ("squared_exponential", {"length_scale": 0.3}, 13, 1e-8),
+], ids=["full-rank", "deficient-rank"])
+def test_integrate_a_kernel_column_reports_the_sampled_field_at_its_node(
+        tmp_path, name, params, rank, tol):
+    # X(t_j) = int K(t_j, .) dW: integrating column j of C reads the noise
+    # rows that field.sample sums, at the rank's stride, so its histogram is
+    # that of column j of the draws. The mean and the median sit near 0, so
+    # each statistic is compared at the scale of X(t_j), its sd sqrt(C_jj)
+    n, j, n_draws, seed = 64, 21, 3000, 11
+    sp = interval_grid(n)
+    C = assemble(builtin_kernel(name, params), sp)
+    cfg = write_config(tmp_path / "c.json", {
+        "space": {"type": "interval_grid", "n": n}, "kernel": {"name": name, "params": params},
+        "seed": seed, "integrate": {"n_draws": n_draws,
+                                    "integrand": {"field_values": C[:, j].tolist()}}})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    fld = field.build_field(builtin_kernel(name, params), sp)
+    assert fld.dec.rank == rank
+    x = field.sample(fld, n_draws, seed=seed).draws[:, j]
+    histogram = json.loads((tmp_path / "integral.json").read_text())["histogram"]
+    assert histogram["n_draws"] == n_draws and histogram["seed"] == seed
+    sd = np.sqrt(C[j, j])
+    assert abs(histogram["mean"] - x.mean()) <= tol * sd
+    assert abs(histogram["variance"] - x.var()) <= tol * sd**2
+    for q, value in histogram["quantiles"].items():
+        assert abs(value - np.quantile(x, float(q))) <= tol * sd
+
+
 def test_integrate_overflowing_moments_exit_1(tmp_path, capsys):
     # the moments overflow to inf or nan (1e100*x1^101 already in mean^2);
     # x1^1e20 must not take p / 2 steps in p!!
@@ -842,13 +886,17 @@ CLI_BRANCHES = [
     pytest.param("tangent", {"tangent": {"t_index": 2, "offsets": [10**30], "r": 0.5}}, [], {}, 2,
                  f"error: offsets move base index 2 to [{10**30 + 2}], outside [0, 8)\n",
                  id="tangent-offset-huge"),
+    # counts numpy cannot index: refused by the schema, before any work
     pytest.param("integrate", {"integrate": {"n_draws": 10**30,
                                              "integrand": {"field_values": [1] * 8}}}, [], {}, 2,
-                 f"error: integrate.n_draws {10**30}: Maximum allowed dimension exceeded\n",
-                 id="integrate-n-draws-huge"),
+                 f"error: config schema violation at $.integrate.n_draws: {10**30} "
+                 f"is greater than the maximum of {2**63 - 1}\n", id="integrate-n-draws-huge"),
     pytest.param("sample", {"sample": {"n_draws": 10**30}}, [], {}, 2,
-                 f"error: sample.n_draws {10**30}: Maximum allowed dimension exceeded\n",
-                 id="sample-n-draws-huge"),
+                 f"error: config schema violation at $.sample.n_draws: {10**30} "
+                 f"is greater than the maximum of {2**63 - 1}\n", id="sample-n-draws-huge"),
+    pytest.param("verify", {"verify": {"n_draws": 10**30}}, [], {}, 2,
+                 f"error: config schema violation at $.verify.n_draws: {10**30} "
+                 f"is greater than the maximum of {2**63 - 1}\n", id="verify-n-draws-huge"),
 ]
 
 

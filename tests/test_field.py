@@ -49,6 +49,21 @@ def test_sample_zero_kernel_gives_zero_draws():
     assert np.array_equal(batch.draws, np.zeros((4, 6)))
 
 
+@pytest.mark.parametrize("gram", [False, True], ids=["draws", "noise-gram"])
+@pytest.mark.parametrize("drop_tol", [1e-12, 1e300], ids=["truncation-0", "rank-0"])
+def test_truncation_zero_batch_is_a_sampled_batch(monkeypatch, gram, drop_tol):
+    # no special case: the n x 0 factor sums to zeros like any factor sums to draws
+    fld = build_field(builtin_kernel("brownian_motion"), interval_grid(8), drop_tol=drop_tol)
+    monkeypatch.setattr(field, "_gram_pays", lambda *shape: gram)
+    calls = []
+    monkeypatch.setattr(field, "noise_gram", lambda *a, **k: calls.append(a) or noise_gram(*a, **k))
+    batch = sample(fld, 50, 0, seed=5)
+    assert batch.factor.shape == (8, 0) and batch.stride == fld.dec.rank
+    assert batch.truncation == 0 and np.array_equal(batch.draws, np.zeros((50, 8)))
+    assert np.array_equal(empirical_covariance(batch), np.zeros((8, 8)))
+    assert len(calls) == gram
+
+
 def test_sample_single_point_standard_normal():
     # counting measure on one point with unit white kernel: draws ~ N(0,1)
     space = DiscreteMeasureSpace(points=[0.0], weights=[1.0])

@@ -58,6 +58,23 @@ def test_norm_of_values_whose_squares_overflow():
     assert np.isnan(sp.norm([np.nan, 1e200]))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-300])
+def test_norm_of_values_whose_squares_underflow(scale):
+    # the squares of these values are below the smallest double
+    sp = DiscreteMeasureSpace(points=[0.0, 1.0, 2.0], weights=[0.2, 0.5, 0.3])
+    f = np.array([3.0, -4.0, 1.5])
+    assert sp.norm(f * scale) == pytest.approx(sp.norm(f) * scale, rel=1e-15, abs=0.0)
+
+
+def test_norm_is_exact_under_powers_of_two():
+    # the norm is formed at the power-of-two scale of its input
+    rng = np.random.default_rng(5)
+    sp = DiscreteMeasureSpace(points=np.arange(16.0), weights=rng.uniform(0.1, 1.0, 16))
+    f = rng.standard_normal(16)
+    for e in (-1000, -600, -1, 1, 600, 1000):
+        assert sp.norm(np.ldexp(f, e)) == np.ldexp(sp.norm(f), e)
+
+
 def test_inner_length_mismatch():
     sp = interval_grid(4)
     with pytest.raises(DimensionMismatchError):

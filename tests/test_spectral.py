@@ -199,6 +199,21 @@ def test_to_rkhs_rejects_out_of_span():
     assert 0.0 < err.value.residual <= 1.0
 
 
+def test_to_rkhs_rejects_out_of_span_at_every_scale():
+    # a tiny vector is tested like any other: its norm does not underflow to 0
+    C, sp, dec = _decompose_builtin("squared_exponential", {"length_scale": 0.3}, 16)
+    assert dec.rank == 13
+    residuals = []
+    for scale in (1.0, 1e-100, 1e-170, 1e-300):
+        f = np.zeros(16)
+        f[0] = scale
+        with pytest.raises(NotInRkhsError) as err:
+            to_rkhs(f, dec)
+        residuals.append(err.value.residual)
+    assert residuals[0] == pytest.approx(4.2e-3, rel=0.01)
+    assert residuals == pytest.approx([residuals[0]] * 4, rel=1e-12, abs=0.0)
+
+
 def test_rkhs_inner_examples():
     a = RkhsElement([1.0, 0.0, 0.0])
     assert rkhs_inner(a, a) == 1.0
