@@ -45,6 +45,7 @@ from .errors import (
     NotInRkhsError,
     NumericError,
     UnknownKernelError,
+    overflow_raises,
 )
 
 __all__ = ["main", "CONFIG_SCHEMA"]
@@ -121,7 +122,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "duality_pairs": {"type": "integer", "minimum": 1},
                 "n_draws": {"type": "integer", "minimum": 2, "maximum": 2**63 - 1},
-                "band_se": {"type": "number", "exclusiveMinimum": 0},
                 "reproducing_functions": {"type": "integer", "minimum": 1},
                 "factor_file": {"type": "string"},
                 "tolerances": {
@@ -593,7 +593,7 @@ def cmd_verify(config: dict, out_dir: Path, base_dir: Path) -> int:
     factor_file = options.pop("factor_file", None)
     C, dec = _decompose(config, base_dir)
     checks = verify.battery(
-        C, dec, gauge=config["gauge"], gauge_seed=config["gauge_seed"], seed=config["seed"],
+        C, dec, gauge_seed=config["gauge_seed"], seed=config["seed"],
         external_factor=_read_factor(factor_file, base_dir, dec) if factor_file else None,
         **options,
     )
@@ -669,7 +669,8 @@ def cmd_integrate(config: dict, out_dir: Path, base_dir: Path, args) -> int:
         print(f"mean: {mean:.12g}")
         print(f"variance: {variance:.12g}")
     else:
-        variance = element.norm_squared()
+        with overflow_raises("squared RKHS norm of the integrand"):
+            variance = element.norm_squared()
         try:
             draws = np.empty(n_draws)
         except (ValueError, MemoryError) as exc:   # more than an array can hold

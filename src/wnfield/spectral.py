@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
 )
 from .kernels import check_symmetric
-from .spaces import DiscreteMeasureSpace
+from .spaces import DiscreteMeasureSpace, _unit_scaled
 
 __all__ = [
     "MercerDecomposition",
@@ -488,6 +488,7 @@ def to_rkhs(f, dec: MercerDecomposition, membership_tol: float = 1e-8) -> RkhsEl
         raise DimensionMismatchError(
             f"field vector shape {f.shape} does not match space size {space.size}"
         )
+    f, e = _unit_scaled(f)   # formed at f's power-of-two scale, as ``norm`` is
     proj = (dec.eigenfunctions * space.weights[:, None]).T @ f
     residual_vec = f - dec.eigenfunctions @ proj
     f_norm = space.norm(f)
@@ -499,7 +500,7 @@ def to_rkhs(f, dec: MercerDecomposition, membership_tol: float = 1e-8) -> RkhsEl
             residual=res / f_norm,
         )
     # retained eigenvalues are strictly above the drop threshold
-    return RkhsElement(coeffs=proj / np.sqrt(dec.eigenvalues))
+    return RkhsElement(coeffs=np.ldexp(proj / np.sqrt(dec.eigenvalues), e))
 
 
 def rkhs_inner(a: RkhsElement, b: RkhsElement) -> float:

@@ -2,7 +2,7 @@
 
 The white-noise factor is unique only up to an orthogonal gauge, and every
 truncation of the series sum_k xi_k h_k is a function of the same noise
-vector, so one factor per gauge and one noise matrix serve every check.
+vector, so one factor per gauge and one noise Gram matrix serve every check.
 Each check is a record ``{name, pass, error, tolerance, detail}``; a
 statistic that overflows or is not finite raises NumericError naming its check.
 """
@@ -10,6 +10,7 @@ statistic that overflows or is not finite raises NumericError naming its check.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import chaos, field, integrals, kernels, spaces, spectral
 from .errors import NumericError, overflow_raises
@@ -25,6 +26,8 @@ DEFAULT_TOLERANCES = {
     "duality": 1e-10,
     "isometry": 1e-12,
 }
+#: family-wise false-alarm rate of each sampling check on correct noise
+_ALPHA = 1e-6
 
 
 def check(name: str, error: float, tolerance: float, detail: str = "") -> dict:
@@ -90,37 +93,47 @@ def _spectral_checks(C, dec, canonical, rng, n_functions: int, tol: dict) -> lis
     return checks
 
 
-def _sampling_checks(C, dec, factor, seed: int, n_draws: int, band_se: float) -> list[dict]:
-    """Empirical covariance band of ``factor``'s draws, which are what
-    ``field.sample`` gives at this seed, and the truncation band, on the
-    same noise.
+def _sidak_threshold(family: int, alpha: float) -> float:
+    """The level that ``family`` independent |N(0, 1)| (at least one) all
+    stay below with probability 1 - alpha: -ndtri(p/2), p = 1 - (1 - alpha)^(1/family)."""
+    p = -np.expm1(np.log1p(-alpha) / max(family, 1))
+    return float(-ndtri(p / 2.0))
 
-    Draws are X = xi F^T, so every moment needed is a function of the
-    noise Gram matrix G = xi^T xi (``field.noise_gram``): X^T X / N is
-    ``field._noise_moment``, the same routine ``field.empirical_covariance``
-    uses. Full minus truncated draws of the canonical factor A = Phi
-    Lambda^{1/2} are xi_t A_t^T, and A^T W A = Lambda, so their mean squared
-    norm is sum_{k>=m} lambda_k G_kk / N, a weighted chi-square sum whose sd
-    is sqrt(2 sum lambda_k^2 / N). No draw and no full noise matrix is held.
+
+def _sampling_checks(dec, seed: int, n_draws: int) -> list[dict]:
+    """Whiteness of the noise ``field.sample`` reads at this seed, and the
+    truncation band, from the noise Gram matrix G = xi^T xi alone.
+
+    Draws are X = xi F^T, so Chat - C = F (G/N - I) F^T + (F F^T - C): the
+    second term is the factorization identity, and the first depends on the
+    noise only, through z = sqrt(N) (G/N - I) with the diagonal divided by
+    sqrt(2), entrywise of mean 0 and variance 1. The canonical factor A =
+    Phi Lambda^{1/2} has A^T W A = Lambda, so the tail draws after t terms
+    have mean squared norm sum_{k>t} lambda_k G_kk / N, which lies
+    sum_{k>t} lambda_k z_kk / ||lambda_{k>t}|| sds from its mean. Each check
+    gates its largest score at the Sidak threshold of family-wise rate
+    ``_ALPHA``.
     """
-    G = field.noise_gram(n_draws, dec.rank, seed)
-    with overflow_raises("check empirical_covariance_band"):
-        emp = field._noise_moment(factor.factor, G, n_draws)
-        se = field.covariance_standard_error(C, n_draws)
-        band = float(np.max(np.abs(emp - C) / np.maximum(se, 1e-300)))
-        checks = [check("empirical_covariance_band", band, band_se,
-                        f"max |Chat - C| in standard errors, N={n_draws}")]
-    if dec.rank >= 2:
-        with overflow_raises("check truncation_band"):
-            worst = 0.0
-            for m in {1, dec.rank // 2}:
-                mean_sq = float(np.sum(dec.eigenvalues[m:] * np.diag(G)[m:])) / n_draws
-                target = field.truncation_error(dec, m)
-                tail, e = spaces._unit_scaled(dec.eigenvalues[m:])
-                tail_se = np.ldexp(np.sqrt(2.0 * np.sum(tail**2) / n_draws), e)
-                worst = max(worst, abs(mean_sq - target) / max(tail_se, 1e-300))
-            checks.append(check("truncation_band", worst, band_se,
-                                "empirical L2 truncation error in standard errors"))
+    m = dec.rank
+    G = field.noise_gram(n_draws, m, seed)
+    z = (G / n_draws - np.eye(m)) * np.sqrt(n_draws)
+    z[np.diag_indices(m)] /= np.sqrt(2.0)
+    upper = np.abs(np.triu(z))
+    detail = f"max |z_kl| over modes k <= l, N={n_draws}"
+    if m:
+        k, l = np.unravel_index(np.argmax(upper), upper.shape)
+        detail += f"; worst (k, l) = ({k + 1}, {l + 1})"
+    checks = [check("noise_gram_band", float(np.max(upper, initial=0.0)),
+                    _sidak_threshold(m * (m + 1) // 2, _ALPHA), detail)]
+    if m >= 2:
+        cuts = sorted({1, m // 2})   # terms kept
+        worst = 0.0
+        for t in cuts:
+            tail, _ = spaces._unit_scaled(dec.eigenvalues[t:])   # no square over- or underflows
+            worst = max(worst, abs(float(tail @ np.diagonal(z)[t:])) / float(np.sqrt(tail @ tail)))
+        checks.append(check("truncation_band", worst, _sidak_threshold(len(cuts), _ALPHA),
+                            f"max |sum_(k>t) lambda_k z_kk| / ||lambda_(k>t)|| over "
+                            f"truncations t in {cuts}"))
     return checks
 
 
@@ -148,16 +161,15 @@ def _chaos_checks(dec, rng, n_pairs: int, tol: dict) -> list[dict]:
     ]
 
 
-def battery(C, dec, *, gauge: str = "symmetric_sqrt", gauge_seed: int = 0, seed: int = 0,
-            n_draws: int = 20000, band_se: float = 5.0, reproducing_functions: int = 10,
-            duality_pairs: int = 100, tolerances: dict | None = None,
-            external_factor=None) -> list[dict]:
+def battery(C, dec, *, gauge_seed: int = 0, seed: int = 0, n_draws: int = 20000,
+            reproducing_functions: int = 10, duality_pairs: int = 100,
+            tolerances: dict | None = None, external_factor=None) -> list[dict]:
     """Every check on covariance ``C`` and its decomposition, in report order.
 
-    ``gauge`` and ``gauge_seed`` pick the sampled factor; ``seed`` keys the
-    noise and the random test functions and polynomials. An
-    ``external_factor`` (read from a file, say) replaces the canonical one
-    in the factorization identity and gauge invariance checks only.
+    ``gauge_seed`` picks the ``rotated`` gauge; ``seed`` keys the noise and
+    the random test functions and polynomials. An ``external_factor`` (read
+    from a file, say) replaces the canonical one in the factorization
+    identity and gauge invariance checks only.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
@@ -167,6 +179,6 @@ def battery(C, dec, *, gauge: str = "symmetric_sqrt", gauge_seed: int = 0, seed:
     return [
         *_factor_checks(C, dec, checked, tol),
         *_spectral_checks(C, dec, canonical, rng, reproducing_functions, tol),
-        *_sampling_checks(C, dec, factors[gauge], seed, n_draws, band_se),
+        *_sampling_checks(dec, seed, n_draws),
         *_chaos_checks(dec, rng, duality_pairs, tol),
     ]

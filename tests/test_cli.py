@@ -801,7 +801,7 @@ BAD_SPACE_ABSENT_KERNEL = {
     "space": {"type": "custom", "points": [0.1, 0.4], "weights": [0.2, -0.5]},
     "kernel": {"name": "custom", "file": "absent.csv"},
 }
-#: the largest white-noise variance: a valid field whose statistics overflow
+#: the largest white-noise variance: a valid field whose tangent Gram matrix overflows
 HUGE_WHITE_NOISE = {"kernel": {"name": "white_diagonal", "params": {"sigma2": 1e308}}, "seed": 3}
 
 #: an integer past the float range: JSON integers have no range
@@ -809,7 +809,7 @@ HUGE = 10**400
 
 
 def _custom_points(points, weights=(0.5, 0.5)):
-    """A squared-exponential kernel on a custom space of two points."""
+    """A squared-exponential kernel on a custom space (two points by default)."""
     return {"space": {"type": "custom", "points": points, "weights": weights},
             "kernel": {"name": "squared_exponential", "params": {"length_scale": 0.3}}}
 
@@ -857,12 +857,13 @@ CLI_BRANCHES = [
       for command, extra in [("factorize", {}), ("sample", {}), ("verify", {}),
                              ("tangent", {"tangent": {"t_index": 1, "offsets": [1], "r": 0.5}})]],
     # statistics that overflow on a valid field: one line naming what overflowed
-    pytest.param("verify", HUGE_WHITE_NOISE, [], {}, 1,
-                 "error: check empirical_covariance_band: overflow encountered in matmul\n",
-                 id="verify-statistic-overflows"),
     pytest.param("tangent", {**HUGE_WHITE_NOISE, "tangent": {"t_index": 2, "offsets": [1], "r": 0.5}},
                  [], {}, 1, "error: tangent Gram matrix: overflow encountered in matmul\n",
                  id="tangent-gram-overflows"),
+    pytest.param("integrate", {**_custom_points([0.1, 0.4, 0.6, 0.9], [1e300] * 4),
+                               "integrate": {"integrand": {"field_values": [1e200, -1e200, 3e200, 0]}}},
+                 [], {}, 1, "error: squared RKHS norm of the integrand: overflow encountered in dot\n",
+                 id="integrand-norm-overflows"),
     # integers past the float range are no numbers, and are clipped to 40
     # characters; points must be scalars or vectors of numbers
     *[pytest.param(command, extra, [], {}, 2,
@@ -897,6 +898,10 @@ CLI_BRANCHES = [
     pytest.param("verify", {"verify": {"n_draws": 10**30}}, [], {}, 2,
                  f"error: config schema violation at $.verify.n_draws: {10**30} "
                  f"is greater than the maximum of {2**63 - 1}\n", id="verify-n-draws-huge"),
+    # the sampling checks gate at a fixed family-wise rate: no band width to set
+    pytest.param("verify", {"verify": {"band_se": 5}}, [], {}, 2,
+                 "error: config schema violation at $.verify: Additional properties are not "
+                 "allowed ('band_se' was unexpected)\n", id="verify-band-se-removed"),
 ]
 
 
@@ -961,6 +966,16 @@ def test_huge_white_noise_factors_samples_and_integrates(tmp_path, capsys, comma
     assert main([command, "--config", bm_config(tmp_path, n=8, extra=extra),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_huge_white_noise_verifies(tmp_path, capsys):
+    # the sampling checks read the noise alone, so none of them overflows
+    out = tmp_path / "out"
+    assert main(["verify", "--config", bm_config(tmp_path, n=8, extra=HUGE_WHITE_NOISE),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    assert all(c["pass"] for c in checks) and len(checks) == 11
 
 
 @pytest.mark.parametrize("command,extra", [

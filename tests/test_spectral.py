@@ -214,6 +214,18 @@ def test_to_rkhs_rejects_out_of_span_at_every_scale():
     assert residuals == pytest.approx([residuals[0]] * 4, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [-600, -1, 1, 600])
+@pytest.mark.parametrize("weight", [0.25, 1e300], ids=["unit-mass", "heavy"])
+def test_to_rkhs_commutes_with_powers_of_two(weight, k):
+    # formed at the power-of-two scale of f, so exact for any power of two,
+    # even where the weighted products of 2^k f itself would overflow
+    sp = DiscreteMeasureSpace(points=[0.1, 0.4, 0.6, 0.9], weights=[weight] * 4)
+    dec = decompose(assemble(builtin_kernel("squared_exponential", {"length_scale": 0.3}), sp), sp)
+    f = np.array([1.0, -1.0, 3.0, 0.0])
+    a = to_rkhs(f, dec).coeffs
+    assert np.array_equal(to_rkhs(np.ldexp(f, k), dec).coeffs, np.ldexp(a, k))
+
+
 def test_rkhs_inner_examples():
     a = RkhsElement([1.0, 0.0, 0.0])
     assert rkhs_inner(a, a) == 1.0
