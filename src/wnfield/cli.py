@@ -344,7 +344,7 @@ class _Output:
 
 def _json_output(path: Path, payload) -> _Output:
     """``payload`` as ``json.dump(indent=2, allow_nan=False)`` writes it, numpy
-    arrays and scalars as the values they hold; one row that is never split."""
+    arrays and scalars as the values they hold; one row of one value, never split."""
     def write(fh, r0, r1):
         try:
             json.dump(payload, fh, indent=2, allow_nan=False, default=lambda obj: obj.tolist())
@@ -352,9 +352,7 @@ def _json_output(path: Path, payload) -> _Output:
             raise NumericError(f"{path.name} would hold a non-finite number: {exc}") from exc
         fh.write("\n")
 
-    values = payload.values() if isinstance(payload, dict) else [payload]
-    return _Output(path, 1, sum(v.size if isinstance(v, np.ndarray) else 1 for v in values),
-                   write)
+    return _Output(path, 1, 1, write)
 
 
 def _csv_output(path: Path, header: str, rows: int, width: int, blocks, precision=15) -> _Output:

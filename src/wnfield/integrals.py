@@ -19,6 +19,7 @@ import numpy as np
 from .chaos import (
     ChaosPolynomial,
     HmuValuedPolynomial,
+    _sum,
     expectation,
     malliavin_derivative,
 )
@@ -76,8 +77,8 @@ def skorokhod_integral(u: RandomIntegrand) -> ChaosPolynomial:
     Always centered: taking F = 1 in the duality gives E[delta(u)] = 0.
     For constant components this reduces to the deterministic series.
     """
-    return sum((P * ChaosPolynomial.variable(k) - P.partial(k) for k, P in enumerate(u.components)),
-               ChaosPolynomial.zero(max(len(u), u.num_vars)))
+    return _sum((P * ChaosPolynomial.variable(k) - P.partial(k) for k, P in enumerate(u.components)),
+                max(len(u), u.num_vars))
 
 
 def duality_check(F: ChaosPolynomial, u: RandomIntegrand) -> float:

@@ -76,10 +76,7 @@ def _make_fbm(hurst: float):
         C = np.abs(s) ** twoH + np.abs(t) ** twoH
         d = np.asarray(s - t)
         np.abs(d, out=d)
-        if twoH == 0.5:   # the ufunc numpy's ** takes for this exponent
-            np.sqrt(d, out=d)
-        else:
-            np.power(d, twoH, out=d)
+        d **= twoH
         C -= d
         C *= 0.5
         return C
@@ -174,35 +171,33 @@ def _upper_tiles(n: int):
             yield slice(a, a + _TILE), slice(c, c + _TILE)
 
 
-def check_symmetric(C: np.ndarray, what: str) -> None:
-    """Reject a square matrix that is not finite or not symmetric.
+def check_symmetric(C: np.ndarray, what: str) -> float:
+    """Reject a square matrix that is not finite or not symmetric; else
+    return max|C| (0.0 for an empty matrix).
 
     Raises NumericError naming the first non-finite entry (i, j), and
-    InvalidParameterError naming the worst pair (the first in row-major
-    order among ties) when max|C - C^T| exceeds ``SYMMETRY_TOL`` * max|C|.
+    InvalidParameterError naming the worst pair, the first maximum of
+    |C - C^T| in row-major order, when it exceeds ``SYMMETRY_TOL`` * max|C|.
     A non-finite entry makes its gap non-finite, so one blocked pass over
-    the upper triangle serves both checks.
+    the upper triangle keeps only the largest gap, and the entry or the
+    pair is looked for on rejection.
     """
-    if not C.size:
-        return
-    worst, pair = 0.0, (0, 0)
-    for I, J in _upper_tiles(len(C)):
-        gap = np.abs(C[I, J] - C[J, I].T)
-        k = np.argmax(gap)   # a NaN first, else the first maximum
-        if not np.isfinite(gap.flat[k]):
-            bad = np.argwhere(~np.isfinite(C))
-            if bad.size:
-                i, j = bad[0]
-                raise NumericError(f"{what} is not finite at entry ({i}, {j})")
-        at = (I.start + k // gap.shape[1], J.start + k % gap.shape[1])
-        if gap.flat[k] > worst or gap.flat[k] == worst and at < pair:
-            worst, pair = gap.flat[k], at
-    if worst > SYMMETRY_TOL * max(C.max(), -C.min()):
-        i, j = pair
-        raise InvalidParameterError(
-            f"{what} is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {worst:.3e} "
-            f"exceeds {SYMMETRY_TOL:g} * max|C|"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN gap is an answer
+        worst = np.max([np.abs(C[I, J] - C[J, I].T).max() for I, J in _upper_tiles(len(C))],
+                       initial=0.0)   # a NaN gap stays
+        scale = max(C.max(initial=0.0), -C.min(initial=0.0))
+        if np.isfinite(worst) and worst <= SYMMETRY_TOL * scale:
+            return float(scale)
+        bad = np.argwhere(~np.isfinite(C))
+        if bad.size:
+            i, j = bad[0]
+            raise NumericError(f"{what} is not finite at entry ({i}, {j})")
+        gap = np.abs(C - C.T)
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    raise InvalidParameterError(
+        f"{what} is not symmetric: |C[{i}, {j}] - C[{j}, {i}]| = {gap[i, j]:.3e} "
+        f"exceeds {SYMMETRY_TOL:g} * max|C|"
+    )
 
 
 def matrix_kernel(entries: np.ndarray, name: str = "custom") -> CovarianceKernel:

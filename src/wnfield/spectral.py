@@ -31,6 +31,7 @@ from .errors import (
     NotInRkhsError,
     NotPositiveSemidefiniteError,
     NumericError,
+    overflow_raises,
 )
 from .kernels import check_symmetric
 from .spaces import DiscreteMeasureSpace, _unit_scaled
@@ -354,8 +355,8 @@ def decompose(
     DimensionMismatchError
         If C is not n x n for the space's n points.
     NumericError
-        If C has a non-finite entry (the first offending (i, j) is
-        named), or if a LAPACK routine reports failure.
+        If C has a non-finite entry (the first (i, j) is named), if a
+        LAPACK routine fails, or if an eigenvalue overflows.
     InvalidParameterError
         If C is not symmetric (the worst (i, j) is named), or if
         ``drop_tol`` is negative or not finite.
@@ -377,25 +378,29 @@ def decompose(
         raise DimensionMismatchError(
             f"covariance shape {C.shape} does not match space size {n}"
         )
-    check_symmetric(C, "covariance")
+    # S / 2^e, 2^e just above max|C| max(w) >= max|S|, split between the two
+    # weight vectors: each step is exact under C -> 2^k C, and the results scale back
+    e = int(np.frexp(check_symmetric(C, "covariance"))[1] + np.frexp(space.weights.max())[1])
     w_sqrt = np.sqrt(space.weights)
-    S = C * w_sqrt[:, None]
-    S *= w_sqrt[None, :]
+    S = C * np.ldexp(w_sqrt, -(e // 2))[:, None]
+    S *= np.ldexp(w_sqrt, e // 2 - e)[None, :]
     sketch = _sketch_pairs(S, drop_tol) if n >= _SKETCH_MIN_N and drop_tol > 0.0 else None
     lam_kept, V_kept, dropped_mass, clamped_mass, tail_bound = sketch or _dense_pairs(S, drop_tol)
     V_kept = _sign_fix(V_kept)
     lam_kept, V_kept = _order_degenerate_clusters(lam_kept, V_kept)
-
+    with overflow_raises("covariance eigenvalues"):   # of S / 2^e, times 2^e
+        lam_kept = np.ldexp(lam_kept, e)
+        masses = np.ldexp([dropped_mass, clamped_mass, tail_bound], e).tolist()
     phi = V_kept / w_sqrt[:, None]
     lam_kept.setflags(write=False)
     phi.setflags(write=False)
     return MercerDecomposition(
         eigenvalues=lam_kept,
         eigenfunctions=phi,
-        dropped_mass=dropped_mass,
-        clamped_mass=clamped_mass,
+        dropped_mass=masses[0],
+        clamped_mass=masses[1],
         space=space,
-        tail_bound=tail_bound,
+        tail_bound=masses[2],
     )
 
 

@@ -1257,11 +1257,11 @@ def test_child_piece_that_ends_without_a_report_is_formatted_here(tmp_path, caps
 
 
 def test_first_failed_piece_in_output_order_is_reported(tmp_path, capsys, monkeypatch):
-    forked(monkeypatch, 3)   # samples.csv rows 0-13 here, 14-26 and 27-39 (+ sidecar) forked
+    forked(monkeypatch, 3)   # samples.csv rows 0-12 here, 13-26 and 27-39 (+ sidecar) forked
     write_rows = cli._write_rows
 
-    def failing(path, file, write, r0, r1):   # rows 14-26 and 27-39, in any process
-        if r0 >= 14:
+    def failing(path, file, write, r0, r1):   # rows 13-26 and 27-39, in any process
+        if r0 >= 13:
             raise cli.UsageError(f"cannot write {path}: rows from {r0}")
         write_rows(path, file, write, r0, r1)
 
@@ -1270,7 +1270,7 @@ def test_first_failed_piece_in_output_order_is_reported(tmp_path, capsys, monkey
     assert main(["sample", "--config", bm_config(tmp_path, n=8, extra={"sample": {"n_draws": 40}}),
                  "--out", str(out)]) == 2
     no_children_left()
-    assert capsys.readouterr().err == f"error: cannot write {out / 'samples.csv'}: rows from 14\n"
+    assert capsys.readouterr().err == f"error: cannot write {out / 'samples.csv'}: rows from 13\n"
     assert list(out.iterdir()) == []
 
 

@@ -141,6 +141,30 @@ def test_duality_battery_hundred_pairs():
         assert duality_check(F, u) <= 1e-10
 
 
+def _builtin_sum_divergence(u):
+    """The reference: each component's divergence added on by builtin ``sum``,
+    one new polynomial per component."""
+    return sum((P * ChaosPolynomial.variable(k) - P.partial(k) for k, P in enumerate(u.components)),
+               ChaosPolynomial.zero(max(len(u), u.num_vars)))
+
+
+#: few coefficients, so terms can cancel
+_COEFFS = [1.0, -1.0, 2.0, -2.0, 0.5, 0.1, -0.3, 3.0]
+
+
+def test_skorokhod_integral_matches_the_builtin_sum():
+    rng = np.random.default_rng(27)
+    for _ in range(300):   # up to 8 components of up to 6 terms in up to 8 variables
+        width = int(rng.integers(0, 9))
+        u = HmuValuedPolynomial(tuple(
+            ChaosPolynomial({tuple(rng.integers(0, 4, rng.integers(0, width + 1))): rng.choice(_COEFFS)
+                             for _ in range(rng.integers(0, 7))}, width)
+            for _ in range(rng.integers(0, 9))))
+        delta, reference = skorokhod_integral(u), _builtin_sum_divergence(u)
+        assert terms_of(delta) == terms_of(reference)
+        assert delta.num_vars == reference.num_vars
+
+
 def test_skorokhod_is_centered():
     rng = np.random.default_rng(31)
     for _ in range(20):

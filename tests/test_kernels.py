@@ -285,8 +285,15 @@ def _square_matrices(draw):
                                max_size=n * n))).reshape(n, n)
     if draw(st.booleans()):   # mirror the upper triangle, signed zeros kept
         C = np.where(np.triu(np.ones((n, n), dtype=bool)), C, C.T)
+    node = st.integers(0, n - 1)
+    if draw(st.booleans()):   # a pair whose gap overflows to inf
+        i, j = draw(node), draw(node)
+        C[i, j], C[j, i] = 1e308, -1e308
+    for _ in range(draw(st.integers(0, 3))):   # a tie: one pair's entries copied to another
+        i, j, k, l = (draw(node) for _ in range(4))
+        C[k, l], C[l, k] = (C[i, j], C[j, i]) if draw(st.booleans()) else (C[j, i], C[i, j])
     for _ in range(draw(st.integers(0, 3))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        i, j = draw(node), draw(node)
         C[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1.0 + 1e-12, 3.0 - 4e-16]))
     return C
 
@@ -315,6 +322,12 @@ KERNEL_BRANCHES = [
     pytest.param(lambda: assemble(matrix_kernel(np.zeros((0, 0))), interval_grid(2)),
                  DimensionMismatchError, "matrix kernel is 0x0 but space has 2 points",
                  id="empty-matrix-kernel"),
+    # a gap that overflows, or is inf - inf, is an answer and raises no numpy warning
+    pytest.param(lambda: check_symmetric(np.array([[1.0, 1e308], [-1e308, 1.0]]), "covariance"),
+                 InvalidParameterError, "covariance is not symmetric: |C[0, 1] - C[1, 0]| = inf "
+                 "exceeds 1e-10 * max|C|", id="gap-overflows"),
+    pytest.param(lambda: check_symmetric(np.array([[1.0, np.inf], [np.inf, 1.0]]), "covariance"),
+                 NumericError, "covariance is not finite at entry (0, 1)", id="gap-inf-minus-inf"),
 ]
 
 

@@ -5,8 +5,12 @@ every stage acts on the product in a known way, so each relation holds bit
 for bit: the eigenvalues and the sketch's tail bound scale by 4^j, the
 eigenfunctions do not change, each gauge's factor scales by 2^j, and the
 battery's errors and tolerances keep their bits on every scale-free row
-and scale by 4^j on the rows that compare covariances.
+and scale by 4^j on the rows that compare covariances. The decomposition
+keeps the relation across the float range, wherever C's entries stay
+normal.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +36,15 @@ def _run(C, space):
     ("fbm", {"hurst": 0.7}, 256),                       # the dense eigensolve
     ("squared_exponential", {"length_scale": 0.1}, 1024),   # the sketch, rank 29
 ], ids=["fbm-dense", "sqexp-sketch"])
-def runs(request):
+def case(request):
     name, params, n = request.param
     space = interval_grid(n)
-    C = assemble(builtin_kernel(name, params), space)
+    return assemble(builtin_kernel(name, params), space), space
+
+
+@pytest.fixture(scope="module")
+def runs(case):
+    C, space = case
     return {j: _run(np.ldexp(C, 2 * j), space) for j in (0, *POWERS)}
 
 
@@ -66,3 +75,25 @@ def test_battery_is_scale_free_but_for_the_factor_rows(runs, j):
         assert (s["error"], s["tolerance"]) == (np.ldexp(c["error"], k),
                                                 np.ldexp(c["tolerance"], k)), c["name"]
         assert s["pass"] == c["pass"] and s["detail"] == c["detail"]
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
+def test_decomposition_scales_exactly_across_the_float_range(case, runs, k):
+    C, space = case
+    # a negative k stops where C's smallest entry would leave the normal
+    # range: 2^-950 for the sq-exp entry exp(-50 (1023/1024)^2) < 2^-71
+    k = max(k, -1021 - int(np.frexp(np.abs(C[C != 0]).min())[1]))
+    dec, scaled = runs[0][0], spectral.decompose(np.ldexp(C, k), space)
+    assert np.array_equal(scaled.eigenvalues, np.ldexp(dec.eigenvalues, k))
+    assert np.array_equal(scaled.eigenfunctions, dec.eigenfunctions)
+    for mass in ("dropped_mass", "clamped_mass", "tail_bound"):
+        assert getattr(scaled, mass) == np.ldexp(getattr(dec, mass), k), mass
+    assert (scaled.tail_bound > 0.0) == (dec.tail_bound > 0.0)   # the same path
+
+
+def test_a_subnormal_covariance_decomposes_quietly(case):
+    C, space = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = spectral.decompose(np.ldexp(C, -1040), space)
+    assert np.all(np.isfinite(dec.eigenvalues)) and dec.rank > 0

@@ -454,7 +454,9 @@ def test_degenerate_clusters_keep_the_order_of_sorted_column_tuples(monkeypatch,
     (lam, V), = calls
     assert np.min(-np.diff(lam)) <= spectral.DEGENERACY_TOL * lam[0]   # a cluster to order
     expected_lam, expected_V = _clusters_by_sorted_column_tuples(lam, V)
-    assert np.array_equal(dec.eigenvalues, expected_lam)
+    # the pairs are ordered at the power-of-two scale of S, then scaled back
+    scale = dec.eigenvalues[0] / lam[0]
+    assert np.frexp(scale)[0] == 0.5 and np.array_equal(dec.eigenvalues, expected_lam * scale)
     assert np.array_equal(dec.eigenfunctions, expected_V / np.sqrt(dec.space.weights)[:, None])
 
 
@@ -671,6 +673,14 @@ SPECTRAL_BRANCHES = [
                  id="pointwise-factor-shape"),
     pytest.param(lambda: to_rkhs(np.ones(3), _brownian_decomposition()), DimensionMismatchError,
                  "field vector shape (3,) does not match space size 4", id="rkhs-vector-shape"),
+    # an eigenvalue, or at rank 0 the dropped mass, past the float range
+    pytest.param(lambda: decompose(np.full((4, 4), 1e308), DiscreteMeasureSpace(np.arange(4.0), np.ones(4))),
+                 NumericError, "covariance eigenvalues: overflow encountered in ldexp",
+                 id="eigenvalue-overflows"),
+    pytest.param(lambda: decompose(np.eye(4) * 1e308, DiscreteMeasureSpace(np.arange(4.0), np.ones(4)),
+                                   drop_tol=1e300),
+                 NumericError, "covariance eigenvalues: overflow encountered in ldexp",
+                 id="dropped-mass-overflows"),
 ]
 
 
