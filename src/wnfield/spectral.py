@@ -177,19 +177,19 @@ def _lapack(routine: str, *args, **kwargs):
     return out
 
 
-def _clamp_and_keep(lam: np.ndarray, drop_tol: float):
-    """The PSD check, the clamp and the drop rule on descending eigenvalues.
-
-    Returns (clamped eigenvalues, keep mask, clamped_mass); an eigenvalue
-    below -NEGATIVE_EIGENVALUE_BAND * lambda_1 raises.
-    """
+def _clamp_and_keep(lam: np.ndarray, drop_tol: float, e: int):
+    """The PSD check, the clamp and the drop rule on descending eigenvalues
+    of S / 2^e: returns (clamped eigenvalues, keep mask, clamped_mass). An
+    eigenvalue below -NEGATIVE_EIGENVALUE_BAND * lambda_1 raises, reported
+    with its tolerance times 2^e, at the scale of S."""
     lam_max = float(lam[0])
     neg_band = NEGATIVE_EIGENVALUE_BAND * max(lam_max, 0.0)
-    worst = float(lam[-1])
-    if worst < -neg_band:
+    if lam[-1] < -neg_band:
+        with overflow_raises("covariance eigenvalues"):
+            worst, tol = np.ldexp([lam[-1], -neg_band], e).tolist()
         raise NotPositiveSemidefiniteError(
             f"covariance operator is not positive semidefinite: eigenvalue "
-            f"{worst:.6e} below tolerance {-neg_band:.6e}",
+            f"{worst:.6e} below tolerance {tol:.6e}",
             worst_eigenvalue=worst,
         )
     clamped_mass = float(np.abs(lam[lam < 0.0]).sum())
@@ -198,7 +198,7 @@ def _clamp_and_keep(lam: np.ndarray, drop_tol: float):
     return lam, keep, clamped_mass
 
 
-def _dense_pairs(S: np.ndarray, drop_tol: float):
+def _dense_pairs(S: np.ndarray, drop_tol: float, e: int):
     """Kept eigenpairs of S from the whole spectrum: one Householder
     reduction to tridiagonal form, every eigenvalue by divide and conquer
     (as in LAPACK ``syevd``), and a back-transform of the kept vectors only.
@@ -208,11 +208,11 @@ def _dense_pairs(S: np.ndarray, drop_tol: float):
     # Fortran-ordered S.T (the upper triangle of S) and overwrites it with
     # the Householder reflectors that make up Q
     (lwork,) = _lapack("dsytrd_lwork", n, lower=1)
-    refl, d, e, tau = _lapack("dsytrd", S.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    refl, d, offdiag, tau = _lapack("dsytrd", S.T, lower=1, lwork=int(lwork), overwrite_a=1)
     # dstevd needs a non-empty off-diagonal even when n == 1
-    lam, W = _lapack("dstevd", d, e if n > 1 else np.zeros(1), compute_v=1)
+    lam, W = _lapack("dstevd", d, offdiag if n > 1 else np.zeros(1), compute_v=1)
     lam, W = lam[::-1], W[:, ::-1]
-    lam, keep, clamped_mass = _clamp_and_keep(lam, drop_tol)
+    lam, keep, clamped_mass = _clamp_and_keep(lam, drop_tol, e)
     dropped_mass = float(lam[~keep].sum())
     V_kept = W[:, keep]
     if n > 1:
@@ -296,7 +296,7 @@ def _residual_norm(S: np.ndarray, theta: np.ndarray, V: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-def _sketch_pairs(S: np.ndarray, drop_tol: float):
+def _sketch_pairs(S: np.ndarray, drop_tol: float, e: int):
     """Kept eigenpairs of S from a certified randomized range finder, or
     None when the dense path must run.
 
@@ -313,7 +313,7 @@ def _sketch_pairs(S: np.ndarray, drop_tol: float):
     tail_bound = _residual_norm(S, theta, V)
     if not tail_bound <= min(drop_tol, NEGATIVE_EIGENVALUE_BAND) * theta[0]:
         return None
-    lam, keep, clamped_mass = _clamp_and_keep(theta, drop_tol)
+    lam, keep, clamped_mass = _clamp_and_keep(theta, drop_tol, e)
     lam_kept = lam[keep]
     # the trace is exact, so trace = kept + dropped - clamped as on the dense path
     dropped_mass = float(np.trace(S)) - float(lam_kept.sum()) + clamped_mass
@@ -384,24 +384,24 @@ def decompose(
     w_sqrt = np.sqrt(space.weights)
     S = C * np.ldexp(w_sqrt, -(e // 2))[:, None]
     S *= np.ldexp(w_sqrt, e // 2 - e)[None, :]
-    sketch = _sketch_pairs(S, drop_tol) if n >= _SKETCH_MIN_N and drop_tol > 0.0 else None
-    lam_kept, V_kept, dropped_mass, clamped_mass, tail_bound = sketch or _dense_pairs(S, drop_tol)
+    sketch = _sketch_pairs(S, drop_tol, e) if n >= _SKETCH_MIN_N and drop_tol > 0.0 else None
+    lam_kept, V_kept, dropped_mass, clamped_mass, tail_bound = sketch or _dense_pairs(S, drop_tol, e)
     V_kept = _sign_fix(V_kept)
     lam_kept, V_kept = _order_degenerate_clusters(lam_kept, V_kept)
     with overflow_raises("covariance eigenvalues"):   # of S / 2^e, times 2^e
         lam_kept = np.ldexp(lam_kept, e)
-        masses = np.ldexp([dropped_mass, clamped_mass, tail_bound], e).tolist()
+        dropped_mass, clamped_mass, tail_bound = np.ldexp(
+            [dropped_mass, clamped_mass, tail_bound], e).tolist()
+    # the drop rule again at C's scale, where a subnormal C's eigenvalue may round to 0
+    keep = lam_kept > drop_tol * lam_kept.max(initial=0.0)
+    if not keep.all():
+        dropped_mass += float(lam_kept[~keep].sum())
+        lam_kept, V_kept = lam_kept[keep], V_kept[:, keep]
     phi = V_kept / w_sqrt[:, None]
     lam_kept.setflags(write=False)
     phi.setflags(write=False)
-    return MercerDecomposition(
-        eigenvalues=lam_kept,
-        eigenfunctions=phi,
-        dropped_mass=masses[0],
-        clamped_mass=masses[1],
-        space=space,
-        tail_bound=masses[2],
-    )
+    return MercerDecomposition(eigenvalues=lam_kept, eigenfunctions=phi, dropped_mass=dropped_mass,
+                               clamped_mass=clamped_mass, space=space, tail_bound=tail_bound)
 
 
 def _haar_orthogonal(m: int, seed: int) -> np.ndarray:

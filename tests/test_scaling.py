@@ -96,4 +96,7 @@ def test_a_subnormal_covariance_decomposes_quietly(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dec = spectral.decompose(np.ldexp(C, -1040), space)
-    assert np.all(np.isfinite(dec.eigenvalues)) and dec.rank > 0
+        # the smallest kept eigenvalue divides in the RKHS coordinates
+        coeffs = spectral.to_rkhs(dec.eigenfunctions[:, -1], dec).coeffs
+    assert dec.rank > 0 and np.all(dec.eigenvalues > 1e-12 * dec.eigenvalues[0])
+    assert np.all(np.isfinite(coeffs))

@@ -321,6 +321,18 @@ def test_decompose_rejects_indefinite():
     assert err.value.worst_eigenvalue < 0.0
 
 
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_indefinite_is_reported_at_the_scale_of_c(k):
+    # max|C| max(w) = 4/3, so the eigensolver sees S / 2^2: the error scales
+    # the eigenvalue and its tolerance back
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        decompose(np.diag(np.ldexp([4.0, 4.0, -2.0], k)), interval_grid(3))
+    worst, tol = np.ldexp([-2.0 / 3.0, -4.0 / 3.0 * spectral.NEGATIVE_EIGENVALUE_BAND], k)
+    assert err.value.worst_eigenvalue == worst
+    assert str(err.value) == (f"covariance operator is not positive semidefinite: "
+                              f"eigenvalue {worst:.6e} below tolerance {tol:.6e}")
+
+
 def test_decompose_clamps_roundoff_negatives():
     sp = DiscreteMeasureSpace(points=[0.0, 1.0], weights=[1.0, 1.0])
     C = np.diag([1.0, -1e-12])
@@ -450,13 +462,14 @@ def test_degenerate_clusters_keep_the_order_of_sorted_column_tuples(monkeypatch,
         return order(lam, V)
 
     monkeypatch.setattr(spectral, "_order_degenerate_clusters", recorded)
-    dec = decompose(*case())
+    C, space = case()
+    dec = decompose(C, space)
     (lam, V), = calls
     assert np.min(-np.diff(lam)) <= spectral.DEGENERACY_TOL * lam[0]   # a cluster to order
     expected_lam, expected_V = _clusters_by_sorted_column_tuples(lam, V)
     # the pairs are ordered at the power-of-two scale of S, then scaled back
-    scale = dec.eigenvalues[0] / lam[0]
-    assert np.frexp(scale)[0] == 0.5 and np.array_equal(dec.eigenvalues, expected_lam * scale)
+    e = np.frexp(np.abs(C).max())[1] + np.frexp(space.weights.max())[1]
+    assert np.array_equal(dec.eigenvalues, np.ldexp(expected_lam, e))
     assert np.array_equal(dec.eigenfunctions, expected_V / np.sqrt(dec.space.weights)[:, None])
 
 
@@ -597,15 +610,17 @@ def test_decompose_falls_back_to_dense(monkeypatch, case, drop_tol, forced):
     assert dec.tail_bound == 0.0
 
 
-def test_sketch_rejects_indefinite(monkeypatch):
+@pytest.mark.parametrize("k", [0, 40])
+def test_sketch_rejects_indefinite(monkeypatch, k):
     # rank 3 plus one clearly negative eigenvalue: the sketch resolves all
-    # four, so its certificate holds and its Ritz values fail the PSD check
+    # four, so its certificate holds and its Ritz values fail the PSD check,
+    # reported at the scale of C
     _force_sketch(monkeypatch)
     C, sp = _spectrum_matrix([1.0, 0.5, 0.2, -0.3] + [0.0] * 28)
     reductions = _count_calls(monkeypatch, spectral.lapack, "dsytrd")
     with pytest.raises(NotPositiveSemidefiniteError) as err:
-        decompose(C, sp)
-    assert err.value.worst_eigenvalue == pytest.approx(-0.3, rel=1e-10)
+        decompose(np.ldexp(C, k), sp)
+    assert err.value.worst_eigenvalue == pytest.approx(np.ldexp(-0.3, k), rel=1e-10)
     assert reductions == []
 
 
