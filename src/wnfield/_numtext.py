@@ -5,21 +5,23 @@
 precision 15 or 17, without calling ``%`` on every value.
 
 Each value a is written from the integer D = a·10^p rounded half to even,
-with p = precision - 1 - e and e = floor(log10 |a|). For 0 ≤ p ≤ 22, 10^p is
-an exact double, so a·10^p is formed exactly as a double-double (Dekker's
+with p = precision - 1 - e and 10^e ≤ |a| < 10^(e+1), e read exactly from a
+table of the least double at or above each 10^x. For 0 ≤ p ≤ 22, 10^p is an
+exact double, so a·10^p is formed exactly as a double-double (Dekker's
 product on Veltkamp halves; numpy contracts no multiply-add into an FMA),
 and D is its correctly rounded integer: the digits ``%`` gets from David
-Gay's ``dtoa``. An e that ``log10`` got one off near a power of ten shows
-as a D outside (10^(precision-1), 10^precision] and is tried once more at
-the next exponent. The text is then laid out by C's ``%g`` rules from the
-sign, the exponent and the count of significant digits: one gather from a
-table with a row per layout, then one compaction, a sub-block of values at
-a time. NaN, ±inf, and values whose p falls outside [0, 22] (|a| ≥
-10^precision, or below about 10^(precision-23)) are written by Python's
-own ``%`` and spliced in.
+Gay's ``dtoa``, carried into e when D rounds up to 10^precision. The text is
+then laid out by C's ``%g`` rules from the sign, the exponent and the count
+of significant digits: one gather from a table with a row per layout, then
+one compaction, a sub-block of values at a time. NaN, ±inf, and values
+outside [10^(precision-23), 10^precision) are written by Python's own ``%``
+and spliced in.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,6 +105,12 @@ class _Layout:
         self.width = self.pad + 1
         self.x_min = P - 23   # the exponents of the exact path: e ∈ [P-23, P-1], then a carry
         self.x_count = P - self.x_min + 1
+        # the least double at or above each 10^x (|a| ≥ 10^x exactly when |a| ≥ it), then NaN, which
+        # no |a| reaches; ``below[b]`` of them lie at or below the least double of biased exponent b
+        tens = [Fraction(10)**x for x in range(self.x_min, P + 1)]
+        self.powers = np.array([f if (f := float(t)) >= t else math.nextafter(f, math.inf) for t in tens]
+                               + [np.nan])
+        self.below = np.searchsorted(self.powers, (np.arange(2048) << 52).view(float), side="right")
         digits = list(range(digit0 - P, digit0))
 
         def zeros(count):
@@ -147,31 +155,18 @@ _LAYOUTS = {precision: _Layout(precision) for precision in (15, 17)}
 def _text(a: np.ndarray, layout: _Layout, src: np.ndarray, base: np.ndarray) -> bytes:
     """The text of the 1-D array ``a``, each value followed by the delimiter
     of its row of ``src``; ``base[i]`` is the offset of row i in ``src``."""
-    P, x_min = layout.precision, layout.x_min
+    P = layout.precision
     src, base = src[:len(a)], base[:len(a)]
     mag = np.abs(a)
-    e = np.log10(mag)
-    np.floor(e, out=e)
-    other = ~((e >= x_min) & (e < P))   # 0, NaN, ±inf, and the values % writes
-    e[other] = 0.0
-    mag[other] = 1.0
-    e = e.astype(np.int64)
-    D = _rounded(mag, P - 1 - e)
-    # log10 may put e one off near a power of ten. One too small gives a D
-    # above 10^P; one too large a D below 10^(P-1), or equal to it when a
-    # rounds up at the coarser digit: then e - 1 holds if its D is below 10^P
-    off = np.flatnonzero((D <= 10**(P - 1)) | (D > 10**P))
-    if off.size:
-        shift = np.where(D[off] > 10**P, 1, -1)
-        shifted = e[off] + shift
-        retry = _rounded(mag[off], np.clip(P - 1 - shifted, 0, 22))
-        take = (shift > 0) | (retry < 10**P)
-        other[off] |= (shifted < x_min) | (shifted >= P)   # by % whichever holds
-        off = off[take]
-        e[off], D[off] = shifted[take], retry[take]
+    # i powers ≤ |a| (a binade holds one at most): 10^x ≤ |a| < 10^(x+1) at x = x_min+i-1, p = 23-i
+    i = layout.below[mag.view(np.int64) >> 52]
+    i += mag >= layout.powers[i]
+    other = (i == 0) | (i == layout.x_count)   # 0, NaN, ±inf, and the values % writes
+    i[other], mag[other] = 23, 1.0   # p = 0 and D = 1: placeholders their rows never read
+    D = _rounded(mag, 23 - i)
     carry = D == 10**P   # rounded up to the next power of ten
     D[carry] = 10**(P - 1)
-    e += carry
+    i += carry
 
     G = layout.groups
     groups = np.empty((len(a), G), dtype=np.int64)
@@ -179,8 +174,8 @@ def _text(a: np.ndarray, layout: _Layout, src: np.ndarray, base: np.ndarray) -> 
         np.divmod(D, 10**4, out=(D, groups[:, j]))
     groups[:, 0] = D
     np.take(_GROUP4, groups, out=src.view(np.uint32)[:, :G], mode="clip")
-    cls = e * P   # row of the table: sign, exponent, significant digits
-    del e, D, mag   # each temporary goes once used: the gather below sets the peak
+    cls = i * P   # row of the table: sign, exponent, significant digits
+    del i, D, mag   # each temporary goes once used: the gather below sets the peak
     zeros = _TRAILING_ZEROS[groups[:, G - 1]]   # trailing zeros of D
     more, j = np.flatnonzero(zeros == 4), G - 2
     while more.size:
@@ -192,7 +187,7 @@ def _text(a: np.ndarray, layout: _Layout, src: np.ndarray, base: np.ndarray) -> 
     del zeros
     sign = np.signbit(a)
     cls += sign * (layout.x_count * P)
-    cls += P - 1 - x_min * P
+    cls -= 1
     cls[other] = layout.zero + sign[other]
     fallback = np.flatnonzero(other & (a != 0))
     cls[fallback] = layout.zero + 2
@@ -225,7 +220,6 @@ def write(fh, block: np.ndarray, precision: int):
     step = max(1, _CHUNK_VALUES // width)
     src = layout.source(min(rows, step) * width, width)
     base = np.arange(0, src.size, layout.width, dtype=np.int32)[:, None]
-    with np.errstate(divide="ignore"):   # log10 of 0
-        for r0 in range(0, rows, step):
-            a = np.ascontiguousarray(block[r0:r0 + step], dtype=float).ravel()
-            fh.write(_text(a, layout, src, base).decode("ascii"))
+    for r0 in range(0, rows, step):
+        a = np.ascontiguousarray(block[r0:r0 + step], dtype=float).ravel()
+        fh.write(_text(a, layout, src, base).decode("ascii"))

@@ -505,7 +505,8 @@ def _long_table(draws: np.ndarray, start: int = 0):
 def cmd_factorize(config: dict, out_dir: Path, base_dir: Path) -> int:
     C, dec = _decompose(config, base_dir)
     h = spectral.factorize(dec, config["gauge"], seed=config["gauge_seed"])
-    trace = kernels.trace_of_operator(C, dec.space)
+    with overflow_raises("operator trace"):
+        trace = kernels.trace_of_operator(C, dec.space)
     _publish([
         _json_output(out_dir / "decomposition.json", {
             "eigenvalues": dec.eigenvalues,

@@ -180,16 +180,18 @@ def _lapack(routine: str, *args, **kwargs):
 def _clamp_and_keep(lam: np.ndarray, drop_tol: float, e: int):
     """The PSD check, the clamp and the drop rule on descending eigenvalues
     of S / 2^e: returns (clamped eigenvalues, keep mask, clamped_mass). An
-    eigenvalue below -NEGATIVE_EIGENVALUE_BAND * lambda_1 raises, reported
-    with its tolerance times 2^e, at the scale of S."""
+    eigenvalue below -NEGATIVE_EIGENVALUE_BAND * lambda_1 raises, reported with
+    its tolerance times 2^e, at the scale of S, and as a fraction of lambda_1."""
     lam_max = float(lam[0])
     neg_band = NEGATIVE_EIGENVALUE_BAND * max(lam_max, 0.0)
     if lam[-1] < -neg_band:
         with overflow_raises("covariance eigenvalues"):
             worst, tol = np.ldexp([lam[-1], -neg_band], e).tolist()
+        ratio = float(lam[-1]) / lam_max if lam_max > 0.0 else -math.inf   # scale-free
         raise NotPositiveSemidefiniteError(
             f"covariance operator is not positive semidefinite: eigenvalue "
-            f"{worst:.6e} below tolerance {tol:.6e}",
+            f"{worst:.6e} below tolerance {tol:.6e} ({ratio:.3g} of the largest; "
+            f"tolerance {-NEGATIVE_EIGENVALUE_BAND:g})",
             worst_eigenvalue=worst,
         )
     clamped_mass = float(np.abs(lam[lam < 0.0]).sum())
@@ -265,9 +267,9 @@ def _ritz_pairs(S: np.ndarray, width: int, power_iterations: int):
 def _sketch_width(theta: np.ndarray, drop_tol: float) -> int | None:
     """Sketch columns for the probe's Ritz values ``theta``, or None when
     the spectrum is not seen to fall below drop_tol * theta_1 soon."""
-    if not theta[0] > 0.0:
-        return None
     cut = drop_tol * theta[0]
+    if not cut > 0.0:   # theta_1 <= 0, or drop_tol near 0 (a subnormal cut is taken by its log)
+        return None
     below = np.flatnonzero(theta <= cut)
     if below.size:
         return int(below[0]) + _OVERSAMPLE
@@ -279,7 +281,7 @@ def _sketch_width(theta: np.ndarray, drop_tol: float) -> int | None:
     # the late rate geometrically overestimates the rank
     if not late > early:
         return None
-    return 3 * quarter + math.ceil(quarter * math.log(t3 / cut) / late) + _OVERSAMPLE
+    return 3 * quarter + math.ceil(quarter * (math.log(t3) - math.log(cut)) / late) + _OVERSAMPLE
 
 
 def _residual_norm(S: np.ndarray, theta: np.ndarray, V: np.ndarray) -> float:

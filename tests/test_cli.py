@@ -86,6 +86,18 @@ def test_factorize_largest_white_noise_variance(tmp_path, capsys):
     assert np.allclose(factor @ factor.T, 1e308 * np.eye(4), rtol=1e-15, atol=0.0)
 
 
+def test_factorize_overflowing_trace_exits_1_before_writing(tmp_path, capsys):
+    # every eigenvalue is finite, but their sum, the operator trace, is not
+    np.savetxt(tmp_path / "big.csv", 1e308 * np.eye(4), delimiter=",")
+    cfg = write_config(tmp_path / "big.json", {
+        "space": {"type": "custom", "points": [0.1, 0.4, 0.6, 0.9], "weights": [1, 1, 1, 1]},
+        "kernel": {"name": "custom", "file": "big.csv"},
+    })
+    assert main(["factorize", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: operator trace: overflow encountered in dot\n"
+    assert not list((tmp_path / "out").iterdir())   # no output file, whole or part
+
+
 def test_factorize_indefinite_matrix_exits_1(tmp_path, capsys):
     matrix = tmp_path / "neg.csv"
     np.savetxt(matrix, np.diag([1.0, -0.5, 1.0]), delimiter=",")

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,3 +101,37 @@ def test_non_contiguous_and_integer_blocks():
         assert text(view, 17) == savetxt(view, 17)
     ints = np.arange(-50, 50).reshape(10, 10)
     assert text(ints, 15) == savetxt(ints.astype(float), 15)
+
+
+def least_double_at_or_above(q):
+    """The least double at or above the positive rational q."""
+    x = float(q)   # the nearest double
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def ulps_around(x, count=64):
+    """Every double within count ulps of the positive double x."""
+    bits = np.array(x).view(np.int64) + np.arange(-count, count + 1)
+    return bits.view(np.float64)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_doubles_around_powers_of_ten_are_the_bytes_of_savetxt(precision):
+    centres = []
+    for x in range(-30, 31):
+        power, half_unit = Fraction(10)**x, Fraction(10)**(x - precision) / 2
+        centres += [float(power), least_double_at_or_above(power),
+                    least_double_at_or_above(power - half_unit)]   # rounds up to 10^x from here
+    specials = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 2.225073858507201e-308,
+                math.inf, math.nan]
+    block = np.array([ulps_around(c) for c in centres] + [np.resize(specials, 129)])
+    block = np.concatenate([block, -block])
+    assert text(block, precision) == savetxt(block, precision)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_power_table_holds_the_least_double_at_or_above_each_power_of_ten(precision):
+    layout = _numtext._LAYOUTS[precision]
+    assert layout.powers.size == precision + 2 - layout.x_min and np.isnan(layout.powers[-1])
+    for x, bound in zip(range(layout.x_min, precision + 1), layout.powers.tolist()):
+        assert Fraction(bound) >= Fraction(10)**x > Fraction(math.nextafter(bound, 0.0))

@@ -10,6 +10,7 @@ keeps the relation across the float range, wherever C's entries stay
 normal.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -100,3 +101,18 @@ def test_a_subnormal_covariance_decomposes_quietly(case):
         coeffs = spectral.to_rkhs(dec.eigenfunctions[:, -1], dec).coeffs
     assert dec.rank > 0 and np.all(dec.eigenvalues > 1e-12 * dec.eigenvalues[0])
     assert np.all(np.isfinite(coeffs))
+
+
+@pytest.mark.parametrize("k", [0, -600, -1040])
+def test_trace_consistency_fails_a_cut_decomposition_at_every_scale(k):
+    # the CI's subnormal kernel at k = -1040; cut to its first eigenvalue,
+    # the trace misses three quarters of its mass at every scale
+    space = interval_grid(512)
+    C = np.ldexp(assemble(builtin_kernel("squared_exponential", {"length_scale": 0.1}), space), k)
+    dec = spectral.decompose(C, space)
+    cut = dataclasses.replace(dec, eigenvalues=dec.eigenvalues[:1], eigenfunctions=dec.eigenfunctions[:, :1])
+    for d, passes in ((dec, True), (cut, False)):
+        checks = verify._spectral_checks(C, d, spectral.factorize(d), np.random.default_rng(0), 0,
+                                         verify.DEFAULT_TOLERANCES)
+        (trace,) = [c for c in checks if c["name"] == "trace_consistency"]
+        assert trace["pass"] == passes, (d.rank, trace["error"])

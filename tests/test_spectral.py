@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,7 +333,25 @@ def test_indefinite_is_reported_at_the_scale_of_c(k):
     worst, tol = np.ldexp([-2.0 / 3.0, -4.0 / 3.0 * spectral.NEGATIVE_EIGENVALUE_BAND], k)
     assert err.value.worst_eigenvalue == worst
     assert str(err.value) == (f"covariance operator is not positive semidefinite: "
-                              f"eigenvalue {worst:.6e} below tolerance {tol:.6e}")
+                              f"eigenvalue {worst:.6e} below tolerance {tol:.6e} "
+                              f"(-0.5 of the largest; tolerance -1e-10)")
+
+
+def test_indefinite_with_no_positive_eigenvalue_is_infinitely_far_below():
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        decompose(np.diag([0.0, -1.0]), interval_grid(2))
+    assert str(err.value).endswith("(-inf of the largest; tolerance -1e-10)")
+
+
+def test_indefinite_below_the_float_range_is_reported_as_a_fraction():
+    # at 2^-1060 the worst eigenvalue and its tolerance both round to -0,
+    # but its ratio to the largest eigenvalue is scale-free
+    sp = interval_grid(512)
+    C = assemble(builtin_kernel("squared_exponential", {"length_scale": 0.1}), sp)
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        decompose(np.ldexp(C, -1060), sp)
+    ratio = float(re.search(r"\((\S+) of the largest; tolerance -1e-10\)$", str(err.value)).group(1))
+    assert -1.0 <= ratio < -spectral.NEGATIVE_EIGENVALUE_BAND
 
 
 def test_decompose_clamps_roundoff_negatives():
@@ -607,6 +628,17 @@ def test_decompose_falls_back_to_dense(monkeypatch, case, drop_tol, forced):
     dec = decompose(C, sp, drop_tol=drop_tol)
     assert len(reductions) == 1
     _assert_same(dec, ref)
+    assert dec.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("drop_tol", [5e-324, 1e-320])
+def test_a_drop_tol_at_the_bottom_of_the_float_range_goes_dense_quietly(monkeypatch, drop_tol):
+    # drop_tol * theta_1 is 0 or subnormal: the probe sizes no sketch
+    C, sp = _kernel_case("squared_exponential", {"length_scale": 0.1}, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = decompose(C, sp, drop_tol=drop_tol)
+    _assert_same(dec, _dense_decompose(monkeypatch, C, sp, drop_tol))
     assert dec.tail_bound == 0.0
 
 
